@@ -19,7 +19,7 @@ from .errors import (
 )
 from .polyring import GF, ZZ, Domain, MvPolynomial, VarContext, format_poly, parse_poly
 from .polymatrix import PolyMatrix
-from .fpurity import FedderVerdict, bracket_reduce, fedder_check, squarefree_monomial_shortcut
+from .fpurity import FedderVerdict, fedder_check
 from .diagvariety import (
     Specialization,
     SopNormalForm,
@@ -74,7 +74,6 @@ __all__ = [
     "ZZ",
     "antidiag_unit_coeff",
     "antidiagonal_ones",
-    "bracket_reduce",
     "build_specialization",
     "check_fpure",
     "compute_P",
@@ -89,7 +88,6 @@ __all__ = [
     "power_diagonal_check",
     "sop_normal_form",
     "spans_Zn",
-    "squarefree_monomial_shortcut",
     "unimodular_inverse",
     "verify_block_factorization",
     "verify_inverse_bands",

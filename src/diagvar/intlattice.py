@@ -7,7 +7,6 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import NotUnimodularError, SchemaError, SizeGuardError
 
@@ -31,7 +30,6 @@ __all__ = [
 DET_GUARD = 64
 POWER_SPAN_GUARD = 10
 BAND_GUARD = 12
-SUBSET_SEARCH_BUDGET = 100_000
 
 
 class IntMatrix:
@@ -292,64 +290,16 @@ def antidiagonal_ones(n: int) -> IntMatrix:
 @dataclass(frozen=True)
 class PowerDiagonalReport:
     """a: |det| of the power-diagonal matrix is 1; b: the diagonals of
-    A^0..A^(n-1) span Z^n; d: some n powers in the window [-n, 2n] have
-    spanning diagonals (bounded search)."""
+    A^0..A^(n-1) span Z^n."""
 
     a: bool
     b: bool
-    d: bool
     det_diag: int
-
-
-def _window_diags(A: IntMatrix, lo: int, hi: int) -> list:
-    out = {}
-    P = IntMatrix.identity(A.n)
-    for e in range(0, hi + 1):
-        out[e] = P.diagonal()
-        P = P * A
-    if lo < 0:
-        Ainv = unimodular_inverse(A)
-        P = Ainv
-        for e in range(-1, lo - 1, -1):
-            out[e] = P.diagonal()
-            P = P * Ainv
-    return [out[e] for e in range(lo, hi + 1)]
-
-
-def _bounded_subset_span_search(A: IntMatrix, n: int) -> bool:
-    diags = _window_diags(A, -n, 2 * n)
-    lat = ZLattice(n)
-    for v in diags:
-        lat.add(v)
-    if not lat.is_full():
-        return False
-    # contiguous runs first, then a greedy generating subset, then a capped
-    # sweep over all n-subsets of the distinct diagonals
-    for s in range(len(diags) - n + 1):
-        if abs(int_det(IntMatrix(diags[s : s + n]))) == 1:
-            return True
-    uniq = list(dict.fromkeys(diags))
-    if len(uniq) < n:
-        return False
-    greedy = ZLattice(n)
-    contributors = [v for v in uniq if greedy.add(v)]
-    if len(contributors) >= n:
-        for subset in combinations(contributors, n):
-            if abs(int_det(IntMatrix(subset))) == 1:
-                return True
-    budget = SUBSET_SEARCH_BUDGET
-    for subset in combinations(uniq, n):
-        budget -= 1
-        if budget < 0:
-            break
-        if abs(int_det(IntMatrix(subset))) == 1:
-            return True
-    return False
 
 
 def power_diagonal_check(A: IntMatrix, *, force: bool = False) -> PowerDiagonalReport:
     """Check the equivalent span conditions on the diagonals of powers of a
-    unimodular matrix; fields a and b must agree, and a implies d."""
+    unimodular matrix; fields a and b must agree."""
     n = A.n
     if n > POWER_SPAN_GUARD and not force:
         raise SizeGuardError(f"power diagonal guard: n <= {POWER_SPAN_GUARD}, got {n}")
@@ -360,8 +310,7 @@ def power_diagonal_check(A: IntMatrix, *, force: bool = False) -> PowerDiagonalR
     a = abs(det_diag) == 1
     diags = [tuple(D.rows[i][j] for i in range(n)) for j in range(n)]
     b = spans_Zn(diags)
-    d = a or b or _bounded_subset_span_search(A, n)
-    return PowerDiagonalReport(a=a, b=b, d=d, det_diag=det_diag)
+    return PowerDiagonalReport(a=a, b=b, det_diag=det_diag)
 
 
 @dataclass(frozen=True)

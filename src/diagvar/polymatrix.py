@@ -10,9 +10,17 @@ from __future__ import annotations
 
 from .errors import ContextError, DiagvarError, DomainError, SchemaError, SizeGuardError
 from .polyring import ZZ, Domain, MvPolynomial, VarContext, _tokens, format_poly, parse_poly
+from .polyring import _bound_masks, _mul_into, _reduced, _width
 
 DET_GUARD = 8
 CHAR_POLY_GUARD = 7
+
+
+def _packed_rows(rows, e: int):
+    """One field width w that holds every entry and exponent bound e, and
+    the entries' packed terms at that width."""
+    w = max([_width(e)] + [f._w for row in rows for f in row])
+    return w, [[f._at(w) for f in row] for row in rows]
 
 
 class PolyMatrix:
@@ -73,22 +81,18 @@ class PolyMatrix:
         if self.dom != other.dom:
             raise DomainError("matrices live in different coefficient domains")
         n = self.n
-        zero = MvPolynomial.zero(self.ctx, self.dom)
+        e = max(a._e for row in self.rows for a in row) + max(b._e for row in other.rows for b in row)
+        w, packed = _packed_rows(self.rows + other.rows, e)
+        A, B = packed[:n], packed[n:]
+        p = self.dom.p
         out = []
         for i in range(n):
-            arow = self.rows[i]
             orow = []
             for j in range(n):
-                acc = zero
+                acc: dict = {}
                 for k in range(n):
-                    a = arow[k]
-                    if not a.terms:
-                        continue
-                    b = other.rows[k][j]
-                    if not b.terms:
-                        continue
-                    acc = acc + a * b
-                orow.append(acc)
+                    _mul_into(acc, A[i][k], B[k][j])
+                orow.append(MvPolynomial._raw(self.ctx, self.dom, _reduced(acc, p), e, w))
             out.append(orow)
         return PolyMatrix(out)
 
@@ -115,33 +119,33 @@ class PolyMatrix:
             raise SizeGuardError(f"det guard: n <= {DET_GUARD}, got {n}")
         rows = self.rows
         if bound is not None:
-            rows = [[e._truncated(bound) for e in row] for row in rows]
-        # level k maps a k-subset of columns (bitmask) to the determinant of
-        # the top k rows restricted to those columns
-        level = {0: MvPolynomial.one(self.ctx, self.dom)}
+            one = MvPolynomial.one(self.ctx, self.dom)
+            rows = [[one._mul(f, bound) for f in row] for row in rows]
+        # every exponent of a k-row minor is at most the sum of the top k
+        # rows' exponent bounds
+        e = sum(max(f._e for f in row) for row in rows)
+        w, rows = _packed_rows(rows, e)
+        masks = _bound_masks(bound, w)
+        p = self.dom.p
+        # level k maps a k-subset of columns (bitmask) to the packed terms of
+        # the determinant of the top k rows restricted to those columns; each
+        # signed product entry * minor is added straight into its target
+        level = {0: {0: 1}}
         for i in range(n):
             nxt: dict = {}
             row = rows[i]
             for mask, minor in level.items():
                 for j in range(n):
                     bit = 1 << j
-                    if mask & bit:
+                    if mask & bit or not row[j]:
                         continue
-                    e = row[j]
-                    if not e.terms:
-                        continue
-                    term = e._mul(minor, bound)
-                    if not term.terms:
-                        continue
-                    tgt = mask | bit
-                    pos = (mask & (bit - 1)).bit_count()
-                    acc = nxt.get(tgt)
-                    if acc is None:
-                        nxt[tgt] = term if (i + pos) % 2 == 0 else -term
-                    else:
-                        nxt[tgt] = acc + term if (i + pos) % 2 == 0 else acc - term
-            level = {mask: f for mask, f in nxt.items() if f.terms}
-        return level.get((1 << n) - 1, MvPolynomial.zero(self.ctx, self.dom))
+                    sign = -1 if (i + (mask & (bit - 1)).bit_count()) % 2 else 1
+                    _mul_into(nxt.setdefault(mask | bit, {}), row[j], minor, sign, masks)
+            level = {mask: r for mask, acc in nxt.items() if (r := _reduced(acc, p))}
+        if bound is not None:
+            e = min(e, max(bound, default=0))
+        det = level.get((1 << n) - 1, {})
+        return MvPolynomial._raw(self.ctx, self.dom, det, e, w)
 
     def char_poly(self, *, force: bool = False) -> MvPolynomial:
         """Monic characteristic polynomial det(t*I - A).  The reserved

@@ -1,10 +1,17 @@
 """Exact sparse multivariate polynomials over Z and Z/p.
 
-A polynomial is a mapping from exponent tuples to nonzero coefficients.
+A polynomial is stored in one form only: a dict from packed exponent keys to
+nonzero coefficients.  A key is a single int holding one exponent per
+variable in a fixed-width bit field, so a monomial product is one integer
+addition.  Each polynomial carries an upper bound on its exponents, and the
+field width is the smallest multiple of 8 bits that keeps the bound below the
+field's top bit (8 bits up to 127, 16 up to 32767, ...).  A product whose
+exponent bound would pass its operands' field re-packs them at the wider
+width and then runs the same loop.  Exponent tuples are built only at the
+API boundary: `terms`, `coefficient`, formatting, JSON and `with_context`.
+
 Coefficients are Python ints, so integer arithmetic never overflows; mod-p
-coefficients are kept as canonical representatives in [0, p).  Hot paths
-(multiplication, truncated powers) pack exponent tuples into single ints,
-one byte per variable, so monomial products become integer additions.
+coefficients are kept as canonical representatives in [0, p).
 """
 
 from __future__ import annotations
@@ -134,39 +141,55 @@ class VarContext:
         return f"VarContext({list(self.names)!r})"
 
 
-# Packed representation: one byte per variable, exponents limited to 127 so
-# the top bit of every byte stays free for the truncation test below.
-_FIELD_MAX = 127
+def _width(e: int) -> int:
+    """Smallest field width, a multiple of 8 bits, holding e below its top bit."""
+    return 8 * (e.bit_length() // 8 + 1)
 
 
-def _pack(terms: dict, arity: int):
-    packed = {}
-    mx = 0
-    for m, c in terms.items():
-        e = max(m, default=0)
-        if e > _FIELD_MAX:
-            return None
-        if e > mx:
-            mx = e
-        packed[int.from_bytes(bytes(m), "little")] = c
-    return packed, mx
+def _pack(m, w: int) -> int:
+    # the exponent of variable i sits in bits [w*i, w*(i+1))
+    key = 0
+    for i, x in enumerate(m):
+        key |= x << (w * i)
+    return key
 
 
-def _unpack_key(key: int, arity: int) -> tuple:
-    return tuple(key.to_bytes(arity, "little"))
+def _unpack(key: int, w: int, arity: int) -> tuple:
+    field = (1 << w) - 1
+    return tuple((key >> (w * i)) & field for i in range(arity))
 
 
-def _bound_masks(bound) -> tuple[int, int]:
+def _bound_masks(bound, w: int) -> tuple[int, int]:
     # (key + add) & flag is nonzero exactly when some exponent exceeds its
-    # bound: adding 128 - (b+1) to a byte holding x sets bit 7 iff x > b,
-    # and cannot carry into the next byte while exponents stay <= 127.
-    add = 0
-    flag = 0
+    # bound: adding 2^(w-1) - (b+1) to a field holding x < 2^(w-1) sets its
+    # top bit iff x > b, and cannot carry into the next field.
+    if bound is None:
+        return 0, 0
+    top = 1 << (w - 1)
+    add = flag = 0
     for i, b in enumerate(bound):
-        if b < _FIELD_MAX:
-            add |= (128 - (b + 1)) << (8 * i)
-            flag |= 128 << (8 * i)
+        if b < top - 1:
+            add |= (top - 1 - b) << (w * i)
+            flag |= top << (w * i)
     return add, flag
+
+
+def _mul_into(out: dict, ta: dict, tb: dict, sign: int = 1, masks=(0, 0)) -> None:
+    """out += sign * ta * tb, for term dicts packed at one width, skipping
+    every product key the masks flag.  Coefficients are left unreduced."""
+    if len(ta) < len(tb):
+        ta, tb = tb, ta
+    items_b = list(tb.items())
+    add, flag = masks
+    get = out.get
+    for ka, ca in ta.items():
+        ca *= sign
+        for kb, cb in items_b:
+            k = ka + kb
+            if (k + add) & flag:
+                continue
+            v = get(k)
+            out[k] = ca * cb if v is None else v + ca * cb
 
 
 def _reduced(out: dict, p: int | None) -> dict:
@@ -180,50 +203,36 @@ def _reduced(out: dict, p: int | None) -> dict:
     return red
 
 
-def _mul_packed(pa: dict, pb: dict, p, masks) -> dict:
-    if len(pa) < len(pb):
-        pa, pb = pb, pa
-    items_b = list(pb.items())
-    out = {}
-    get = out.get
-    if masks is None:
-        for ka, ca in pa.items():
-            for kb, cb in items_b:
-                k = ka + kb
-                v = get(k)
-                out[k] = ca * cb if v is None else v + ca * cb
-    else:
-        add, flag = masks
-        for ka, ca in pa.items():
-            for kb, cb in items_b:
-                k = ka + kb
-                if (k + add) & flag:
-                    continue
-                v = get(k)
-                out[k] = ca * cb if v is None else v + ca * cb
-    return _reduced(out, p)
+class _Terms(Mapping):
+    """Read-only view of a polynomial's terms, keyed by exponent tuples."""
 
+    __slots__ = ("_f",)
 
-def _mul_tuples(ta: dict, tb: dict, p, bound) -> dict:
-    if len(ta) < len(tb):
-        ta, tb = tb, ta
-    items_b = list(tb.items())
-    out = {}
-    get = out.get
-    for ma, ca in ta.items():
-        for mb, cb in items_b:
-            m = tuple(map(int.__add__, ma, mb))
-            if bound is not None and any(e > b for e, b in zip(m, bound)):
-                continue
-            v = get(m)
-            out[m] = ca * cb if v is None else v + ca * cb
-    return _reduced(out, p)
+    def __init__(self, f: "MvPolynomial"):
+        self._f = f
+
+    def __len__(self) -> int:
+        return len(self._f._t)
+
+    def items(self):
+        f = self._f
+        w, arity = f._w, len(f.ctx)
+        return ((_unpack(k, w, arity), c) for k, c in f._t.items())
+
+    def __iter__(self):
+        return (m for m, _ in self.items())
+
+    def __getitem__(self, m):
+        key = self._f._key(tuple(m))
+        if key not in self._f._t:
+            raise KeyError(m)
+        return self._f._t[key]
 
 
 class MvPolynomial:
     """Immutable sparse polynomial over a Domain in a VarContext."""
 
-    __slots__ = ("ctx", "dom", "terms", "_packed")
+    __slots__ = ("ctx", "dom", "_t", "_e", "_w")
 
     def __init__(self, ctx: VarContext, dom: Domain, terms=None):
         self.ctx = ctx
@@ -241,21 +250,20 @@ class MvPolynomial:
                 if any(e < 0 for e in m):
                     raise ValueError(f"negative exponent in monomial {m}")
                 clean[m] = clean.get(m, 0) + c
-            p = dom.p
-            if p is None:
-                clean = {m: c for m, c in clean.items() if c}
-            else:
-                clean = {m: c % p for m, c in clean.items() if c % p}
-        self.terms = clean
-        self._packed = None
+        clean = _reduced(clean, dom.p)
+        self._e = max((max(m, default=0) for m in clean), default=0)
+        self._w = _width(self._e)
+        self._t = {_pack(m, self._w): c for m, c in clean.items()}
 
     @classmethod
-    def _raw(cls, ctx, dom, clean_terms: dict) -> "MvPolynomial":
+    def _raw(cls, ctx, dom, packed: dict, e: int = 0, w: int = 8) -> "MvPolynomial":
+        """Wrap reduced packed terms of width w whose exponents are <= e."""
         f = object.__new__(cls)
         f.ctx = ctx
         f.dom = dom
-        f.terms = clean_terms
-        f._packed = None
+        f._t = packed
+        f._e = e
+        f._w = w
         return f
 
     @classmethod
@@ -267,7 +275,7 @@ class MvPolynomial:
         c = dom.reduce(c)
         if not c:
             return cls.zero(ctx, dom)
-        return cls._raw(ctx, dom, {(0,) * len(ctx): c})
+        return cls._raw(ctx, dom, {0: c})
 
     @classmethod
     def one(cls, ctx, dom) -> "MvPolynomial":
@@ -275,9 +283,7 @@ class MvPolynomial:
 
     @classmethod
     def variable(cls, ctx, dom, name: str) -> "MvPolynomial":
-        i = ctx.index(name)
-        exps = tuple(1 if j == i else 0 for j in range(len(ctx)))
-        return cls._raw(ctx, dom, {exps: 1})
+        return cls._raw(ctx, dom, {1 << (8 * ctx.index(name)): 1}, 1)
 
     @classmethod
     def monomial(cls, ctx, dom, exps, coeff: int = 1) -> "MvPolynomial":
@@ -286,37 +292,68 @@ class MvPolynomial:
     # -- basic structure -------------------------------------------------
 
     @property
+    def terms(self) -> Mapping:
+        """The nonzero coefficients keyed by exponent tuples (a read-only view)."""
+        return _Terms(self)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._t)
 
-    def n_terms(self) -> int:
-        return len(self.terms)
+    def _key(self, m: tuple) -> int | None:
+        """The packed key of exponent tuple m, or None when no term can have it."""
+        if len(m) != len(self.ctx) or not all(0 <= x <= self._e for x in m):
+            return None
+        return _pack(m, self._w)
+
+    def _at(self, w: int) -> dict:
+        """The terms packed at field width w >= self._w."""
+        if w == self._w:
+            return self._t
+        arity = len(self.ctx)
+        return {_pack(_unpack(k, self._w, arity), w): c for k, c in self._t.items()}
 
     def coefficient(self, exps) -> int:
         """The stored coefficient of the given exponent tuple, or 0."""
         m = tuple(exps)
         if len(m) != len(self.ctx):
             raise ContextError("monomial arity does not match context arity")
-        return self.terms.get(m, 0)
+        return self._t.get(self._key(m), 0)
+
+    def mul_coefficient(self, other: "MvPolynomial", exps) -> int:
+        """The coefficient of the given exponent tuple in self * other, read
+        off without forming the product."""
+        self._check_compat(other)
+        m = tuple(exps)
+        if len(m) != len(self.ctx):
+            raise ContextError("monomial arity does not match context arity")
+        if min(m, default=0) < 0:
+            return 0
+        w = max(self._w, other._w, _width(max(m, default=0)))
+        target = _pack(m, w)
+        b = other._at(w)
+        # where a key exceeds the target in some field, target - key borrows,
+        # which sets a field's top bit or the sign: no key of other matches
+        return self.dom.reduce(sum(c * b.get(target - k, 0) for k, c in self._at(w).items()))
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self._t:
             raise ValueError("zero polynomial has no degree")
         return max(sum(m) for m in self.terms)
 
     def homogeneous_degree(self) -> int | None:
         """Common total degree of all terms, or None if degrees differ."""
-        if not self.terms:
+        if not self._t:
             raise ValueError("zero polynomial has no homogeneous degree")
         degs = {sum(m) for m in self.terms}
         return degs.pop() if len(degs) == 1 else None
 
     def leading_monomial(self) -> tuple:
         """Greatest monomial in graded reverse lexicographic order."""
-        if not self.terms:
+        if not self._t:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=lambda m: (sum(m), tuple(-e for e in reversed(m))))
 
@@ -343,30 +380,19 @@ class MvPolynomial:
         if not isinstance(other, MvPolynomial):
             return NotImplemented
         self._check_compat(other)
-        a, b = self.terms, other.terms
+        w = max(self._w, other._w)
+        a, b = self._at(w), other._at(w)
         if len(a) < len(b):
             a, b = b, a
         out = dict(a)
-        p = self.dom.p
-        for m, c in b.items():
-            v = out.get(m, 0) + c
-            if p is not None:
-                v %= p
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-        return MvPolynomial._raw(self.ctx, self.dom, out)
+        for k, c in b.items():
+            out[k] = out.get(k, 0) + c
+        return MvPolynomial._raw(self.ctx, self.dom, _reduced(out, self.dom.p), max(self._e, other._e), w)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.dom.p
-        if p is None:
-            terms = {m: -c for m, c in self.terms.items()}
-        else:
-            terms = {m: p - c for m, c in self.terms.items()}
-        return MvPolynomial._raw(self.ctx, self.dom, terms)
+        return self._scaled(-1)
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -380,15 +406,15 @@ class MvPolynomial:
 
     def _scaled(self, c: int) -> "MvPolynomial":
         c = self.dom.reduce(c)
-        if not c or not self.terms:
+        if not c or not self._t:
             return MvPolynomial.zero(self.ctx, self.dom)
         p = self.dom.p
         if p is None:
-            terms = {m: cc * c for m, cc in self.terms.items()}
+            terms = {k: cc * c for k, cc in self._t.items()}
         else:
             # p prime and both factors nonzero mod p, so no zeros appear
-            terms = {m: cc * c % p for m, cc in self.terms.items()}
-        return MvPolynomial._raw(self.ctx, self.dom, terms)
+            terms = {k: cc * c % p for k, cc in self._t.items()}
+        return MvPolynomial._raw(self.ctx, self.dom, terms, self._e, self._w)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -403,54 +429,16 @@ class MvPolynomial:
             return self._scaled(other)
         return NotImplemented
 
-    def _packed_form(self):
-        if self._packed is None:
-            self._packed = _pack(self.terms, len(self.ctx)) or False
-        return self._packed or None
-
     def _mul(self, other: "MvPolynomial", bound) -> "MvPolynomial":
-        ta, tb = self.terms, other.terms
-        if not ta or not tb:
-            return MvPolynomial.zero(self.ctx, self.dom)
-        p = self.dom.p
-        if len(ta) == 1 or len(tb) == 1:
-            if len(tb) == 1:
-                many, ((ms, cs),) = ta, tb.items()
-            else:
-                many, ((ms, cs),) = tb, ta.items()
-            out = {}
-            for m, c in many.items():
-                mm = tuple(map(int.__add__, m, ms))
-                if bound is not None and any(e > b for e, b in zip(mm, bound)):
-                    continue
-                v = c * cs
-                if p is not None:
-                    v %= p
-                    if not v:
-                        continue
-                out[mm] = v
-            return MvPolynomial._raw(self.ctx, self.dom, out)
-        pa = self._packed_form()
-        pb = other._packed_form()
-        if pa is not None and pb is not None and pa[1] + pb[1] <= _FIELD_MAX:
-            masks = _bound_masks(bound) if bound is not None else None
-            prod = _mul_packed(pa[0], pb[0], p, masks)
-            arity = len(self.ctx)
-            terms = {_unpack_key(k, arity): v for k, v in prod.items()}
-        else:
-            terms = _mul_tuples(ta, tb, p, bound)
-        return MvPolynomial._raw(self.ctx, self.dom, terms)
-
-    def _truncated(self, bound) -> "MvPolynomial":
-        """Drop every monomial with an exponent above the per-variable bound."""
-        terms = {
-            m: c
-            for m, c in self.terms.items()
-            if all(e <= b for e, b in zip(m, bound))
-        }
-        if len(terms) == len(self.terms):
-            return self
-        return MvPolynomial._raw(self.ctx, self.dom, terms)
+        """The product, dropping every monomial with an exponent above the
+        per-variable bound (None: no bound)."""
+        e = self._e + other._e
+        w = max(self._w, other._w, _width(e))
+        out: dict = {}
+        _mul_into(out, self._at(w), other._at(w), 1, _bound_masks(bound, w))
+        if bound is not None:
+            e = min(e, max(bound, default=0))
+        return MvPolynomial._raw(self.ctx, self.dom, _reduced(out, self.dom.p), e, w)
 
     def pow_capped(self, k: int, cap: int | None = None) -> "MvPolynomial":
         """Exact k-th power; with a cap, every monomial holding an exponent
@@ -464,7 +452,8 @@ class MvPolynomial:
         if k == 0:
             return result
         bound = None if cap is None else (cap - 1,) * len(self.ctx)
-        base = self if bound is None else self._truncated(bound)
+        # result is 1 here, so this drops the terms of self above the bound
+        base = self if bound is None else result._mul(self, bound)
         while True:
             if k & 1:
                 result = result._mul(base, bound)
@@ -485,37 +474,31 @@ class MvPolynomial:
                 g = MvPolynomial.constant(self.ctx, self.dom, g)
             self._check_compat(g)
             reps[i] = g
-        if not self.terms:
+        if not self._t:
             return self
-        p = self.dom.p
+        # an exponent of the image is at most deg(self) * max(1, max e(g))
+        e = self.total_degree() * max([1] + [g._e for g in reps.values()])
+        w = max([self._w, _width(e)] + [g._w for g in reps.values()])
+        field = (1 << w) - 1
         pow_cache: dict = {}
         out: dict = {}
-        for m, c in self.terms.items():
-            base = list(m)
+        for key, c in self._at(w).items():
             parts = []
-            dead = False
             for i, g in reps.items():
-                e = m[i]
-                if not e:
-                    continue
-                base[i] = 0
-                key = (i, e)
-                gp = pow_cache.get(key)
-                if gp is None:
-                    gp = g.pow_capped(e)
-                    pow_cache[key] = gp
-                if not gp.terms:
-                    dead = True
-                    break
-                parts.append(gp)
-            if dead:
-                continue
-            acc = {tuple(base): c}
+                x = (key >> (w * i)) & field
+                if x:
+                    key -= x << (w * i)
+                    gp = pow_cache.get((i, x))
+                    if gp is None:
+                        gp = pow_cache[(i, x)] = g.pow_capped(x)._at(w)
+                    parts.append(gp)
+            acc = {key: c}
             for gp in parts:
-                acc = _mul_tuples(acc, gp.terms, p, None)
-            for mm, cc in acc.items():
-                out[mm] = out.get(mm, 0) + cc
-        return MvPolynomial._raw(self.ctx, self.dom, _reduced(out, p))
+                acc, prev = {}, acc
+                _mul_into(acc, prev, gp)
+            for k, v in acc.items():
+                out[k] = out.get(k, 0) + v
+        return MvPolynomial._raw(self.ctx, self.dom, _reduced(out, self.dom.p), e, w)
 
     # -- context and domain changes ---------------------------------------
 
@@ -538,8 +521,8 @@ class MvPolynomial:
                         f"variable {self.ctx.names[i]!r} is not present in the target context"
                     )
                 exps[j] = e
-            out[tuple(exps)] = c
-        return MvPolynomial._raw(new_ctx, self.dom, out)
+            out[_pack(exps, self._w)] = c
+        return MvPolynomial._raw(new_ctx, self.dom, out, self._e, self._w)
 
     def with_domain(self, dom: Domain) -> "MvPolynomial":
         """Reinterpret the coefficients; only Z -> Z/p reduction is allowed."""
@@ -547,21 +530,18 @@ class MvPolynomial:
             return self
         if self.dom.is_modp:
             raise DomainError("cannot convert coefficients out of a prime field")
-        p = dom.p
-        terms = {m: c % p for m, c in self.terms.items() if c % p}
-        return MvPolynomial._raw(self.ctx, dom, terms)
+        terms = _reduced(self._t, dom.p)
+        return MvPolynomial._raw(self.ctx, dom, terms, self._e, self._w)
 
     # -- comparison and display -------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = MvPolynomial.constant(self.ctx, self.dom, other)
-        return (
-            isinstance(other, MvPolynomial)
-            and self.dom == other.dom
-            and self.ctx == other.ctx
-            and self.terms == other.terms
-        )
+        if not isinstance(other, MvPolynomial) or (self.dom, self.ctx) != (other.dom, other.ctx):
+            return False
+        w = max(self._w, other._w)
+        return self._at(w) == other._at(w)
 
     def __str__(self):
         return format_poly(self)
@@ -573,6 +553,11 @@ class MvPolynomial:
 # -- canonical text form ----------------------------------------------------
 
 
+def _graded_lex(term) -> tuple:
+    m, _ = term
+    return sum(m), m
+
+
 def format_poly(f: MvPolynomial) -> str:
     """Canonical string form: graded-lexicographic order, total degree
     descending, ties broken by the exponent tuples themselves.  Parsing the
@@ -581,8 +566,7 @@ def format_poly(f: MvPolynomial) -> str:
         return "0"
     names = f.ctx.names
     bits = []
-    for m in sorted(f.terms, key=lambda m: (sum(m), m), reverse=True):
-        c = f.terms[m]
+    for m, c in sorted(f.terms.items(), key=_graded_lex, reverse=True):
         factors = []
         for name, e in zip(names, m):
             if e == 1:
@@ -696,11 +680,11 @@ def poly_to_json(f: MvPolynomial) -> dict:
         domain = {"kind": "Fp", "p": f.dom.p}
     else:
         domain = {"kind": "Z"}
-    order = sorted(f.terms, key=lambda m: (sum(m), m), reverse=True)
+    order = sorted(f.terms.items(), key=_graded_lex, reverse=True)
     return {
         "vars": list(f.ctx.names),
         "domain": domain,
-        "terms": [{"coeff": str(f.terms[m]), "exps": list(m)} for m in order],
+        "terms": [{"coeff": str(c), "exps": list(m)} for m, c in order],
     }
 
 

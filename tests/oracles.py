@@ -39,6 +39,27 @@ def perm_det_int(rows) -> int:
     return total
 
 
+def tuple_product(f: MvPolynomial, g: MvPolynomial) -> MvPolynomial:
+    """f * g computed on exponent tuples, one pair of terms at a time."""
+    out = {}
+    for ma, ca in f.terms.items():
+        for mb, cb in g.terms.items():
+            m = tuple(a + b for a, b in zip(ma, mb))
+            out[m] = out.get(m, 0) + ca * cb
+    return MvPolynomial(f.ctx, f.dom, out)
+
+
+def tuple_substitute(f: MvPolynomial, i: int, g: MvPolynomial) -> MvPolynomial:
+    """f with variable i replaced by g, by repeated tuple products."""
+    acc = MvPolynomial.zero(f.ctx, f.dom)
+    for m, c in f.terms.items():
+        term = MvPolynomial(f.ctx, f.dom, {m[:i] + (0,) + m[i + 1 :]: c})
+        for _ in range(m[i]):
+            term = tuple_product(term, g)
+        acc = acc + term
+    return acc
+
+
 def delete_high_exponents(f: MvPolynomial, cap: int) -> MvPolynomial:
     """Drop every monomial holding an exponent >= cap."""
     kept = {m: c for m, c in f.terms.items() if max(m, default=0) < cap}

@@ -76,7 +76,7 @@ def test_lemma4_and_lemma5(capsys):
     code, out, _ = run(capsys, "lemma4", "--n", "4", "--format", "json")
     assert code == 0
     (record,) = json.loads(out)
-    assert record["detail"]["a"] and record["detail"]["b"] and record["detail"]["d"]
+    assert record["detail"]["a"] and record["detail"]["b"]
 
     code, out, _ = run(capsys, "lemma5", "--n", "6", "--format", "json")
     assert code == 0
@@ -101,6 +101,20 @@ def test_unknown_check_in_suite(capsys):
     code, _, err = run(capsys, "suite", "--checks", "bogus")
     assert code == 2
     assert "unknown check" in err
+
+
+def test_suite_with_no_cells_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "suite", "--max-n", "0")
+    assert code == 2
+    assert out == ""
+    assert "no cells" in err
+
+
+def test_suite_rejects_fedder_prime_outside_table(capsys):
+    code, out, err = run(capsys, "suite", "--primes", "11", "--checks", "fedder")
+    assert code == 2
+    assert out == ""
+    assert "got 11" in err
 
 
 def test_suite_small_all_pass(capsys):

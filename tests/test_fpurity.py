@@ -1,12 +1,12 @@
-"""Fedder-criterion engine: bracket reduction, the membership test, and the
-square-free shortcut, all cross-checked against brute force."""
+"""Fedder-criterion engine: the membership test and its half-power route,
+cross-checked against brute force."""
 
 import random
 
 import pytest
 
-from diagvar.fpurity import bracket_reduce, fedder_check, squarefree_monomial_shortcut
 from diagvar.errors import DomainError
+from diagvar.fpurity import fedder_check
 from diagvar.polyring import GF, ZZ, MvPolynomial, VarContext, parse_poly
 from oracles import frobenius_power_bruteforce, random_poly
 
@@ -15,24 +15,6 @@ CTX = VarContext(["x_1_1", "x_1_2", "x_2_1"])
 
 def P(text, dom=ZZ):
     return parse_poly(text, CTX, dom)
-
-
-def test_bracket_reduce_kills_squares_at_p2():
-    assert bracket_reduce(P("x_1_1^2"), 2).is_zero
-
-
-def test_bracket_reduce_keeps_low_exponents():
-    f = P("x_1_1*x_1_2 + x_1_1^3")
-    assert bracket_reduce(f, 3) == P("x_1_1*x_1_2", GF(3))
-
-
-def test_bracket_reduce_drops_vanishing_coefficients():
-    assert bracket_reduce(P("2*x_1_1"), 2).is_zero
-
-
-def test_bracket_reduce_rejects_wrong_field():
-    with pytest.raises(DomainError):
-        bracket_reduce(P("x_1_1", GF(3)), 5)
 
 
 def test_squarefree_monomial_is_fpure_with_full_witness():
@@ -57,6 +39,11 @@ def test_sum_of_squares_is_not_fpure_at_p2():
 def test_fedder_rejects_zero():
     with pytest.raises(ValueError):
         fedder_check(MvPolynomial.zero(CTX, ZZ), 3)
+
+
+def test_fedder_rejects_wrong_field():
+    with pytest.raises(DomainError):
+        fedder_check(P("x_1_1", GF(3)), 5)
 
 
 def test_fedder_witness_lies_in_reduced_power():
@@ -107,31 +94,16 @@ def test_capped_power_is_already_bracket_reduced():
             continue
         for p in (2, 3, 5):
             g = f.with_domain(GF(p)).pow_capped(p - 1, cap=p)
-            if g.terms:
-                assert bracket_reduce(g, p) == g
+            assert all(e < p for m in g.terms for e in m)
 
 
-def test_shortcut_accepts_squarefree_unit_monomials():
-    assert squarefree_monomial_shortcut(P("x_1_1*x_1_2*x_2_1"))
-    assert squarefree_monomial_shortcut(P("-x_1_1"))
-    assert squarefree_monomial_shortcut(P("2*x_1_2", GF(3)))
-
-
-def test_shortcut_rejects_others():
-    assert not squarefree_monomial_shortcut(P("x_1_1^2"))
-    assert not squarefree_monomial_shortcut(P("x_1_1*x_1_2 + x_2_1"))
-    assert not squarefree_monomial_shortcut(P("2*x_1_1"))
-    assert not squarefree_monomial_shortcut(P("0"))
-
-
-def test_shortcut_implies_fpure_for_every_prime():
+def test_squarefree_unit_monomial_is_fpure_for_every_prime():
     rng = random.Random(3003)
     for _ in range(40):
         exps = tuple(rng.randint(0, 1) for _ in range(3))
         if not any(exps):
             continue
         f = MvPolynomial(CTX, ZZ, {exps: rng.choice([1, -1])})
-        assert squarefree_monomial_shortcut(f)
         for p in (2, 3, 5, 7):
             assert fedder_check(f, p).fpure
 

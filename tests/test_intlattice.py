@@ -198,15 +198,15 @@ def test_inverse_diagonal_lies_in_power_diagonal_lattice():
 
 def test_power_diagonal_check_identity_matrix():
     rep = power_diagonal_check(IntMatrix.identity(2))
-    assert (rep.a, rep.b, rep.d) == (False, False, False)
+    assert (rep.a, rep.b) == (False, False)
 
 
 def test_power_diagonal_check_ones_family():
     rep3 = power_diagonal_check(antidiagonal_ones(3))
-    assert (rep3.a, rep3.b, rep3.d) == (True, True, True)
+    assert (rep3.a, rep3.b) == (True, True)
     assert rep3.det_diag == -1
     rep5 = power_diagonal_check(antidiagonal_ones(5))
-    assert (rep5.a, rep5.b, rep5.d) == (True, True, True)
+    assert (rep5.a, rep5.b) == (True, True)
 
 
 def test_power_diagonal_check_requires_unimodular():
@@ -226,7 +226,6 @@ def test_power_diagonal_fields_agree_randomized():
         A = random_unimodular(rng, n)
         rep = power_diagonal_check(A)
         assert rep.a == rep.b
-        assert not rep.a or rep.d
 
 
 def test_band_report_n3():

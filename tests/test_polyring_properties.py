@@ -1,0 +1,90 @@
+"""Property tests of the polynomial ring.  Exponents are drawn on both sides
+of the packing limits (127/128 for 8-bit fields, 32767/32768 for 16-bit
+ones), so products re-pack their operands at a wider field width."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from diagvar.polyring import GF, ZZ, MvPolynomial, VarContext
+from oracles import pow_then_delete, tuple_product, tuple_substitute
+
+CTX = VarContext(["a", "b", "c"])
+EXPONENTS = st.one_of(st.integers(0, 3), st.integers(124, 131), st.integers(16380, 16400))
+MONOMIALS = st.tuples(EXPONENTS, EXPONENTS, EXPONENTS)
+CAPS = st.one_of(st.integers(1, 5), st.integers(126, 130), st.integers(254, 258))
+PROPERTY = settings(deadline=None, max_examples=50)
+
+
+def polys(dom, coeffs=st.integers(-5, 5), max_terms=4, monomials=MONOMIALS):
+    return st.dictionaries(monomials, coeffs, max_size=max_terms).map(lambda t: MvPolynomial(CTX, dom, t))
+
+
+@PROPERTY
+@given(polys(ZZ), polys(ZZ), polys(ZZ))
+def test_ring_axioms(f, g, h):
+    zero = MvPolynomial.zero(CTX, ZZ)
+    one = MvPolynomial.one(CTX, ZZ)
+    assert f + g == g + f
+    assert (f + g) + h == f + (g + h)
+    assert f * g == g * f
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+    assert f + zero == f
+    assert f * one == f
+    assert f - f == zero
+
+
+@PROPERTY
+@given(st.sampled_from([ZZ, GF(2), GF(7)]), st.data())
+def test_product_matches_tuple_oracle(dom, data):
+    f = data.draw(polys(dom, st.integers(-30, 30)))
+    g = data.draw(polys(dom, st.integers(-30, 30)))
+    fg = f * g
+    assert fg == tuple_product(f, g)
+    probe = data.draw(MONOMIALS)
+    for m in list(fg.terms) + [probe]:
+        assert f.mul_coefficient(g, m) == fg.coefficient(m)
+
+
+@PROPERTY
+@given(polys(GF(7), st.integers(-30, 30)), polys(GF(7), st.integers(-30, 30)), st.integers(0, 3), CAPS)
+def test_modp_results_are_canonical(f, g, k, cap):
+    for h in (f, f + g, f - g, f * g, -f, 3 * f, f.pow_capped(k, cap=cap)):
+        assert all(0 < c < 7 for c in h.terms.values())
+
+
+@PROPERTY
+@given(st.sampled_from([0, 62, 126, 16382]), st.integers(0, 3), st.data())
+def test_pow_capped_matches_power_then_delete(offset, k, data):
+    # exponents near offset, so the power's exponents sit near k * offset,
+    # and a cap drawn around there keeps some terms and deletes others
+    exps = st.one_of(st.integers(0, 2), st.integers(offset, offset + 3))
+    f = data.draw(polys(ZZ, monomials=st.tuples(exps, exps, exps), max_terms=3))
+    cap = data.draw(st.one_of(st.integers(1, 6), st.integers(max(1, k * offset - 3), k * (offset + 3) + 3)))
+    assert f.pow_capped(k, cap=cap) == pow_then_delete(f, k, cap)
+
+
+SUBST_MONOMIALS = st.tuples(st.integers(0, 70), st.one_of(st.integers(0, 3), st.integers(64, 70)), st.integers(0, 2))
+
+
+@PROPERTY
+@given(
+    polys(ZZ, monomials=SUBST_MONOMIALS, max_terms=3),
+    polys(ZZ, monomials=SUBST_MONOMIALS, max_terms=3),
+    polys(ZZ, monomials=st.tuples(st.integers(4, 6), st.integers(0, 2), st.integers(0, 1)), max_terms=2),
+)
+def test_substitute_is_ring_homomorphism(f, g, s):
+    # under b -> s, b^64 maps to exponents of a of 256 and more, past the
+    # 8-bit field that holds f, g and s
+    asg = {"b": s}
+    assert f.substitute(asg) == tuple_substitute(f, CTX.index("b"), s)
+    assert (f * g).substitute(asg) == f.substitute(asg) * g.substitute(asg)
+    assert (f + g).substitute(asg) == f.substitute(asg) + g.substitute(asg)
+
+
+def test_mul_coefficient_of_a_monomial_past_the_field():
+    # packed in 8-bit fields, a^16400 would read as a^16 * b^64
+    f = MvPolynomial(CTX, ZZ, {(16, 0, 0): 1})
+    g = MvPolynomial(CTX, ZZ, {(0, 64, 0): 1})
+    assert f.mul_coefficient(g, (16, 64, 0)) == 1
+    assert f.mul_coefficient(g, (16400, 0, 0)) == 0
