@@ -39,8 +39,12 @@ def load_matrix(path: str, kind: str):
     raise ValueError(f"unknown matrix kind {kind!r}")
 
 
-def _record(check: str, n=None, p=None, passed=True, detail=None) -> dict:
-    return {"check": check, "n": n, "p": p, "pass": bool(passed), "detail": detail or {}}
+def _record(check: str, n=None, p=None, passed=True, detail=None, force=False) -> dict:
+    """One report record; a record of work run past a size guard says so."""
+    detail = detail or {}
+    if force:
+        detail["forced"] = True
+    return {"check": check, "n": n, "p": p, "pass": bool(passed), "detail": detail}
 
 
 # -- one function per suite cell; each returns a single report record ---------
@@ -56,44 +60,31 @@ def cell_pofx(n: int, force: bool = False) -> dict:
         "degree": degree,
         "expected_degree": expected,
     }
-    if force:
-        detail["forced"] = True
-    return _record("pofx", n=n, passed=degree == expected, detail=detail)
+    return _record("pofx", n=n, passed=degree == expected, detail=detail, force=force)
 
 
 def cell_lemma2(n: int, mode: str, force: bool = False) -> dict:
     ok = diagvariety.verify_block_factorization(n, mode, force=force)
-    detail = {"mode": mode}
-    if force:
-        detail["forced"] = True
-    return _record("lemma2", n=n, passed=ok, detail=detail)
+    return _record("lemma2", n=n, passed=ok, detail={"mode": mode}, force=force)
 
 
 def cell_induction(n: int, force: bool = False) -> dict:
     ok = diagvariety.verify_peeling_identity(n, force=force)
-    detail = {"forced": True} if force else {}
-    return _record("induction", n=n, passed=ok, detail=detail)
+    return _record("induction", n=n, passed=ok, force=force)
 
 
 def cell_antidiag(n: int, spec: str, force: bool = False) -> dict:
     coeff = diagvariety.antidiag_unit_coeff(n, SPEC_LABELS[spec], force=force)
     detail = {"spec": spec, "coeff": coeff}
-    if force:
-        detail["forced"] = True
-    return _record("antidiag", n=n, passed=abs(coeff) == 1, detail=detail)
+    return _record("antidiag", n=n, passed=abs(coeff) == 1, detail=detail, force=force)
 
 
 def cell_sop(n: int, force: bool = False) -> dict:
-    detail = {}
-    if force:
-        detail["forced"] = True
     try:
         nf = diagvariety.sop_normal_form(n, force=force)
     except NormalFormError as e:
-        detail["error"] = str(e)
-        return _record("sop", n=n, passed=False, detail=detail)
-    detail.update({"sign": nf.sign, "exponent": nf.exponent})
-    return _record("sop", n=n, detail=detail)
+        return _record("sop", n=n, passed=False, detail={"error": str(e)}, force=force)
+    return _record("sop", n=n, detail={"sign": nf.sign, "exponent": nf.exponent}, force=force)
 
 
 def cell_fedder(n: int, p: int, force: bool = False) -> dict:
@@ -103,19 +94,17 @@ def cell_fedder(n: int, p: int, force: bool = False) -> dict:
         "witness": list(verdict.witness) if verdict.witness is not None else None,
         "var_count": verdict.var_count,
     }
-    if force:
-        detail["forced"] = True
-    return _record("fedder", n=n, p=p, passed=verdict.fpure, detail=detail)
+    return _record("fedder", n=n, p=p, passed=verdict.fpure, detail=detail, force=force)
 
 
 def cell_lemma4(n: int, force: bool = False) -> dict:
-    A = intlattice.antidiagonal_ones(n)
+    return _lemma4_record(intlattice.antidiagonal_ones(n), force)
+
+
+def _lemma4_record(A, force: bool) -> dict:
     report = intlattice.power_diagonal_check(A, force=force)
-    ok = report.a == report.b
     detail = {"a": report.a, "b": report.b, "det_diag": report.det_diag}
-    if force:
-        detail["forced"] = True
-    return _record("lemma4", n=n, passed=ok, detail=detail)
+    return _record("lemma4", n=A.n, passed=report.a == report.b, detail=detail, force=force)
 
 
 def cell_lemma5(n: int, j_max: int | None = None) -> dict:
@@ -217,14 +206,14 @@ def _handle_pofx(args) -> list:
             M = spec.apply_to_matrix(M)
         P = diagvariety.compute_P(M, force=args.force)
         detail = {"poly": format_poly(P), "terms": len(P.terms)}
-        return [_record("pofx", n=M.n, detail=detail)]
+        return [_record("pofx", n=M.n, detail=detail, force=args.force)]
     n = _require_n(args)
     if args.spec:
         M = diagvariety.generic_matrix(n)
         spec = diagvariety.build_specialization(n, SPEC_LABELS.get(args.spec, args.spec), args.mode)
         P = diagvariety.compute_P(spec.apply_to_matrix(M), force=args.force)
         detail = {"poly": format_poly(P), "terms": len(P.terms), "spec": args.spec}
-        return [_record("pofx", n=n, detail=detail)]
+        return [_record("pofx", n=n, detail=detail, force=args.force)]
     return [cell_pofx(n, force=args.force)]
 
 
@@ -264,11 +253,7 @@ def _handle_fedder(args) -> list:
 
 def _handle_lemma4(args) -> list:
     if args.matrix:
-        A = load_matrix(args.matrix, "int")
-        report = intlattice.power_diagonal_check(A, force=args.force)
-        ok = report.a == report.b
-        detail = {"a": report.a, "b": report.b, "det_diag": report.det_diag}
-        return [_record("lemma4", n=A.n, passed=ok, detail=detail)]
+        return [_lemma4_record(load_matrix(args.matrix, "int"), args.force)]
     return [cell_lemma4(_require_n(args), force=args.force)]
 
 

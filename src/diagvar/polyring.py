@@ -7,8 +7,12 @@ addition.  Each polynomial carries an upper bound on its exponents, and the
 field width is the smallest multiple of 8 bits that keeps the bound below the
 field's top bit (8 bits up to 127, 16 up to 32767, ...).  A product whose
 exponent bound would pass its operands' field re-packs them at the wider
-width and then runs the same loop.  Exponent tuples are built only at the
-API boundary: `terms`, `coefficient`, formatting, JSON and `with_context`.
+width.  A product then runs one of two loops, picked by its exponent bound
+alone: a product capped below its field's limit tests each key against the
+cap with a mask, and every other product runs a loop without that test.
+Total degrees are read off the packed keys' bytes.  Exponent tuples are
+built only at the API boundary: `terms`, `coefficient`, formatting, JSON
+and `with_context`.
 
 Coefficients are Python ints, so integer arithmetic never overflows; mod-p
 coefficients are kept as canonical representatives in [0, p).
@@ -16,8 +20,11 @@ coefficients are kept as canonical representatives in [0, p).
 
 from __future__ import annotations
 
+import operator
 import re
 from collections.abc import Iterable, Mapping
+from functools import partial, reduce
+from itertools import repeat
 
 from .errors import ContextError, DomainError, PolyParseError, SchemaError
 
@@ -176,20 +183,30 @@ def _bound_masks(bound, w: int) -> tuple[int, int]:
 
 def _mul_into(out: dict, ta: dict, tb: dict, sign: int = 1, masks=(0, 0)) -> None:
     """out += sign * ta * tb, for term dicts packed at one width, skipping
-    every product key the masks flag.  Coefficients are left unreduced."""
+    every product key the masks flag.  Coefficients are left unreduced.
+    When the masks flag nothing (every unbounded product), the loop runs
+    without the mask test."""
     if len(ta) < len(tb):
         ta, tb = tb, ta
     items_b = list(tb.items())
     add, flag = masks
     get = out.get
-    for ka, ca in ta.items():
-        ca *= sign
-        for kb, cb in items_b:
-            k = ka + kb
-            if (k + add) & flag:
-                continue
-            v = get(k)
-            out[k] = ca * cb if v is None else v + ca * cb
+    if flag:
+        for ka, ca in ta.items():
+            ca *= sign
+            for kb, cb in items_b:
+                k = ka + kb
+                if (k + add) & flag:
+                    continue
+                v = get(k)
+                out[k] = ca * cb if v is None else v + ca * cb
+    else:
+        for ka, ca in ta.items():
+            ca *= sign
+            for kb, cb in items_b:
+                k = ka + kb
+                v = get(k)
+                out[k] = ca * cb if v is None else v + ca * cb
 
 
 def _reduced(out: dict, p: int | None) -> dict:
@@ -339,16 +356,31 @@ class MvPolynomial:
         # which sets a field's top bit or the sign: no key of other matches
         return self.dom.reduce(sum(c * b.get(target - k, 0) for k, c in self._at(w).items()))
 
+    def _degrees(self):
+        """The total degree of each term, read off the packed keys.  Every
+        field is a whole number of bytes wide, so byte j of a field weighs
+        256**j, and a key's degree is the sum over j of 256**j times the
+        sum of byte j of all its fields: exact at every width."""
+        step = self._w // 8
+        size = step * len(self.ctx)
+
+        def weighted_byte_sums(j: int):
+            keys = map(int.to_bytes, self._t, repeat(size), repeat("little"))
+            byte_j = map(operator.itemgetter(slice(j, None, step)), keys)
+            return map(operator.mul, map(sum, byte_j), repeat(1 << (8 * j)))
+
+        return reduce(partial(map, operator.add), map(weighted_byte_sums, range(step)))
+
     def total_degree(self) -> int:
         if not self._t:
             raise ValueError("zero polynomial has no degree")
-        return max(sum(m) for m in self.terms)
+        return max(self._degrees())
 
     def homogeneous_degree(self) -> int | None:
         """Common total degree of all terms, or None if degrees differ."""
         if not self._t:
             raise ValueError("zero polynomial has no homogeneous degree")
-        degs = {sum(m) for m in self.terms}
+        degs = set(self._degrees())
         return degs.pop() if len(degs) == 1 else None
 
     def leading_monomial(self) -> tuple:

@@ -225,8 +225,21 @@ def test_load_poly_matrix_file(tmp_path, capsys):
     assert out.strip()
 
 
-def test_force_is_marked_in_report(capsys):
-    code, out, _ = run(capsys, "induction", "--n", "6", "--force", "--format", "json")
+@pytest.mark.parametrize(
+    "argv, matrix",
+    [
+        pytest.param(["induction", "--n", "6"], None, id="induction"),
+        pytest.param(["pofx", "--matrix"], {"n": 2, "entries": [["1", "x_1_1"], ["1", "x_2_2"]]}, id="pofx-matrix"),
+        pytest.param(["pofx", "--n", "3", "--spec", "s"], None, id="pofx-spec"),
+        pytest.param(["lemma4", "--matrix"], {"n": 2, "entries": [[1, 1], [1, 0]]}, id="lemma4-matrix"),
+    ],
+)
+def test_force_is_marked_in_report(tmp_path, capsys, argv, matrix):
+    if matrix is not None:
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(matrix))
+        argv = argv + [str(path)]
+    code, out, _ = run(capsys, *argv, "--force", "--format", "json")
     assert code == 0
     (record,) = json.loads(out)
     assert record["detail"]["forced"] is True

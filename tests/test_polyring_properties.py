@@ -2,7 +2,7 @@
 of the packing limits (127/128 for 8-bit fields, 32767/32768 for 16-bit
 ones), so products re-pack their operands at a wider field width."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diagvar.polyring import GF, ZZ, MvPolynomial, VarContext
@@ -88,3 +88,43 @@ def test_mul_coefficient_of_a_monomial_past_the_field():
     g = MvPolynomial(CTX, ZZ, {(0, 64, 0): 1})
     assert f.mul_coefficient(g, (16, 64, 0)) == 1
     assert f.mul_coefficient(g, (16400, 0, 0)) == 0
+
+
+DEGREE_EXPONENTS = st.one_of(st.integers(0, 3), st.integers(124, 131), st.integers(32764, 32771))
+
+
+@st.composite
+def degree_polys(draw):
+    # about half the draws are made homogeneous by raising c in every term
+    # to the largest total degree, so both answers of homogeneous_degree occur
+    terms = draw(st.lists(st.tuples(DEGREE_EXPONENTS, DEGREE_EXPONENTS, DEGREE_EXPONENTS), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        top = max(map(sum, terms))
+        terms = [(a, b, c + top - a - b - c) for a, b, c in terms]
+    return MvPolynomial(CTX, ZZ, {m: draw(st.integers(1, 5)) for m in terms})
+
+
+@PROPERTY
+@given(degree_polys(), degree_polys())
+# fields of 8 bits, degree 381 > 255, and a mixed-degree polynomial
+@example(MvPolynomial(CTX, ZZ, {(127, 127, 127): 1}), MvPolynomial(CTX, ZZ, {(1, 0, 0): 1, (0, 2, 1): 1}))
+def test_degrees_match_tuple_sums(f, g):
+    # f * g is packed at a width chosen from a bound, which can be wider
+    # than its exponents need
+    for h in (f, g, f * g, f + g):
+        degs = {sum(m) for m in h.terms}
+        assert h.total_degree() == max(degs)
+        assert h.homogeneous_degree() == (degs.pop() if len(degs) == 1 else None)
+
+
+@PROPERTY
+@given(st.sampled_from([ZZ, GF(7)]), st.data())
+def test_bounded_product_with_a_loose_bound_is_the_product(dom, data):
+    # a bound at or above every exponent of the product deletes nothing, so
+    # the masked loop must agree with the unmasked one
+    f = data.draw(polys(dom, st.integers(-30, 30)))
+    g = data.draw(polys(dom, st.integers(-30, 30)))
+    fg = f._mul(g, None)
+    slack = data.draw(st.tuples(*[st.integers(0, 3)] * len(CTX)))
+    bound = tuple(max((m[i] for m in fg.terms), default=0) + slack[i] for i in range(len(CTX)))
+    assert f._mul(g, bound) == fg
