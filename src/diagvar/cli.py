@@ -15,12 +15,16 @@ import sys
 
 from . import diagvariety, intlattice
 from .errors import DiagvarError, NormalFormError
+from .guards import WINDOWS, describe
 from .polymatrix import polymatrix_from_json
 from .polyring import GF, format_poly
 
-SUITE_CHECKS = ("pofx", "lemma2", "induction", "antidiag", "sop", "fedder", "lemma4", "lemma5")
+SUITE_CHECKS = tuple(WINDOWS)
 DEFAULT_PRIMES = (2, 3, 5)
 SPEC_LABELS = {"s": "kill_s", "s0": "kill_s0"}
+# the cells a check runs at one n, as (keyword, values); fedder's values are
+# the selected primes
+VARIANTS = {"lemma2": ("mode", diagvariety.TILDE_MODES), "antidiag": ("spec", tuple(SPEC_LABELS))}
 
 
 def load_matrix(path: str, kind: str):
@@ -107,8 +111,8 @@ def _lemma4_record(A, force: bool) -> dict:
     return _record("lemma4", n=A.n, passed=report.a == report.b, detail=detail, force=force)
 
 
-def cell_lemma5(n: int, j_max: int | None = None) -> dict:
-    report = intlattice.verify_inverse_bands(n, j_max)
+def cell_lemma5(n: int, j_max: int | None = None, force: bool = False) -> dict:
+    report = intlattice.verify_inverse_bands(n, j_max, force=force)
     ok = report.b2 and report.odd and report.span and abs(report.p_of_a) == 1
     detail = {
         "b2": report.b2,
@@ -116,7 +120,7 @@ def cell_lemma5(n: int, j_max: int | None = None) -> dict:
         "span": report.span,
         "p_of_a": report.p_of_a,
     }
-    return _record("lemma5", n=n, passed=ok, detail=detail)
+    return _record("lemma5", n=n, passed=ok, detail=detail, force=force)
 
 
 def _run_cell(cell) -> dict:
@@ -137,36 +141,17 @@ _CELL_FUNCS = {
 
 
 def _suite_cells(max_n: int, primes, checks) -> list:
+    """Every cell of the selected checks inside its window, up to max_n."""
+    variants = dict(VARIANTS, fedder=("p", primes))
     cells = []
-    if "pofx" in checks:
-        for n in range(1, min(max_n, 5) + 1):
-            cells.append(("pofx", {"n": n}))
-    if "lemma2" in checks:
-        for n in range(2, min(max_n, 5) + 1):
-            for mode in diagvariety.TILDE_MODES:
-                cells.append(("lemma2", {"n": n, "mode": mode}))
-    if "induction" in checks:
-        for n in range(3, min(max_n, 6) + 1):
-            cells.append(("induction", {"n": n}))
-    if "antidiag" in checks:
-        for n in range(2, min(max_n, 6) + 1):
-            for spec in ("s", "s0"):
-                cells.append(("antidiag", {"n": n, "spec": spec}))
-    if "sop" in checks:
-        for n in range(2, min(max_n, 6) + 1):
-            cells.append(("sop", {"n": n}))
-    if "fedder" in checks:
-        for n in range(2, min(max_n, 5) + 1):
-            for p in primes:
-                if (n, p) in diagvariety.FPURE_SKIPPED_CELLS:
-                    continue
-                cells.append(("fedder", {"n": n, "p": p}))
-    if "lemma4" in checks:
-        for n in range(2, min(max_n, 8) + 1):
-            cells.append(("lemma4", {"n": n}))
-    if "lemma5" in checks:
-        for n in range(2, min(max_n, 12) + 1):
-            cells.append(("lemma5", {"n": n}))
+    for check, w in WINDOWS.items():
+        if check not in checks:
+            continue
+        key, values = variants.get(check, (None, (None,)))
+        for n in range(w.lo, min(max_n, w.hi) + 1):
+            for v in values:
+                if (n, v) not in w.skipped:
+                    cells.append((check, {"n": n} if key is None else {"n": n, key: v}))
     return cells
 
 
@@ -224,31 +209,26 @@ def _require_n(args) -> int:
 
 
 def _handle_lemma2(args) -> list:
-    n = _require_n(args)
-    modes = [args.mode] if args.mode else list(diagvariety.TILDE_MODES)
-    return [cell_lemma2(n, mode, force=args.force) for mode in modes]
+    modes = [args.mode] if args.mode else VARIANTS["lemma2"][1]
+    return [cell_lemma2(args.n, mode, force=args.force) for mode in modes]
 
 
 def _handle_induction(args) -> list:
-    return [cell_induction(_require_n(args), force=args.force)]
+    return [cell_induction(args.n, force=args.force)]
 
 
 def _handle_antidiag(args) -> list:
-    n = _require_n(args)
-    specs = [args.spec] if args.spec else ["s", "s0"]
-    return [cell_antidiag(n, spec, force=args.force) for spec in specs]
+    specs = [args.spec] if args.spec else VARIANTS["antidiag"][1]
+    return [cell_antidiag(args.n, spec, force=args.force) for spec in specs]
 
 
 def _handle_sop(args) -> list:
-    return [cell_sop(_require_n(args), force=args.force)]
+    return [cell_sop(args.n, force=args.force)]
 
 
 def _handle_fedder(args) -> list:
-    n = _require_n(args)
-    if args.p is None:
-        raise DiagvarError("--p is required")
     GF(args.p)  # validates primality
-    return [cell_fedder(n, args.p, force=args.force)]
+    return [cell_fedder(args.n, args.p, force=args.force)]
 
 
 def _handle_lemma4(args) -> list:
@@ -258,7 +238,7 @@ def _handle_lemma4(args) -> list:
 
 
 def _handle_lemma5(args) -> list:
-    return [cell_lemma5(_require_n(args), args.j_max)]
+    return [cell_lemma5(args.n, args.j_max, force=args.force)]
 
 
 def _record_key(r: dict):
@@ -276,8 +256,8 @@ def _handle_suite(args) -> list:
     checks = _parse_checks(args.checks)
     if "fedder" in checks:
         for p in primes:
-            if p not in diagvariety.FPURE_PRIMES:
-                raise DiagvarError(f"fedder: p must be one of {diagvariety.FPURE_PRIMES}, got {p}")
+            if p not in WINDOWS["fedder"].primes:
+                raise DiagvarError(f"fedder: p must be one of {WINDOWS['fedder'].primes}, got {p}")
     cells = _suite_cells(args.max_n, sorted(set(primes)), checks)
     if not cells:
         raise DiagvarError(f"the selected checks have no cells at --max-n {args.max_n}")
@@ -357,57 +337,65 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, help_text, n_help=None, n_required=True):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None, help="write the report to a file instead of stdout")
-        p.add_argument("--force", action="store_true", help="override size guards (marked in the report)")
+        if name in WINDOWS:
+            n_help = n_help or f"matrix size; runs unforced at {describe(name)}"
+            p.add_argument("--n", type=int, required=n_required, help=n_help)
+            p.add_argument("--force", action="store_true", help="override size guards (marked in the report)")
         return p
 
-    p = add("pofx", "compute P for the generic or a specialized matrix")
-    p.add_argument("--n", type=int)
+    p = add(
+        "pofx",
+        "compute P for the generic or a specialized matrix",
+        n_help=f"matrix size; runs unforced at {describe('pofx')} for the generic matrix, "
+        f"and at n <= {diagvariety.SPECIALIZED_GUARD} specialized",
+        n_required=False,
+    )
     p.add_argument("--spec", choices=("s", "s0", "sop", "tilde"))
     p.add_argument("--mode", choices=diagvariety.TILDE_MODES)
     p.add_argument("--matrix", help="JSON file with a polynomial matrix")
     p.set_defaults(handler=_handle_pofx)
 
     p = add("lemma2", "verify the corner-block factorization of P")
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=diagvariety.TILDE_MODES)
     p.set_defaults(handler=_handle_lemma2)
 
     p = add("induction", "verify the anti-diagonal peeling identity")
-    p.add_argument("--n", type=int, required=True)
     p.set_defaults(handler=_handle_induction)
 
     p = add("antidiag", "coefficient of the above-anti-diagonal monomial in specialized P")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--spec", choices=("s", "s0"))
+    p.add_argument("--spec", choices=VARIANTS["antidiag"][1])
     p.set_defaults(handler=_handle_antidiag)
 
     p = add("sop", "normal form of P under the system-of-parameters specialization")
-    p.add_argument("--n", type=int, required=True)
     p.set_defaults(handler=_handle_sop)
 
     p = add("fedder", "F-purity of the killed hypersurface over F_p")
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.set_defaults(handler=_handle_fedder)
 
-    p = add("lemma4", "power-diagonal span equivalences for a unimodular matrix")
-    p.add_argument("--n", type=int, help="size of the anti-triangular ones matrix")
+    p = add(
+        "lemma4",
+        "power-diagonal span equivalences for a unimodular matrix",
+        n_help=f"size of the anti-triangular ones matrix; the suite runs {describe('lemma4')}, "
+        f"and any n <= {intlattice.POWER_SPAN_GUARD} runs unforced",
+        n_required=False,
+    )
     p.add_argument("--matrix", help="JSON file with an integer matrix")
     p.set_defaults(handler=_handle_lemma4)
 
     p = add("lemma5", "closed forms for the inverse of the anti-triangular ones matrix")
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--j-max", type=int, default=None, dest="j_max")
     p.set_defaults(handler=_handle_lemma5)
 
-    p = add("suite", "run every check up to the configured bounds")
+    p = add("suite", "run every check over its window, up to --max-n")
     p.add_argument("--max-n", type=int, default=4, dest="max_n")
     p.add_argument("--primes", default=",".join(str(q) for q in DEFAULT_PRIMES))
-    p.add_argument("--checks", default=None, help="comma list; default all checks")
+    windows = "; ".join(f"{c} {describe(c)}" for c in WINDOWS)
+    p.add_argument("--checks", default=None, help=f"comma list; default all checks. Windows: {windows}")
     p.set_defaults(handler=_handle_suite)
 
     return parser

@@ -17,6 +17,7 @@ from functools import lru_cache
 
 from .errors import NormalFormError, SizeGuardError
 from .fpurity import FedderVerdict, fedder_check
+from .guards import guard
 from .polymatrix import PolyMatrix
 from .polyring import GF, ZZ, Domain, MvPolynomial, VarContext
 
@@ -34,11 +35,8 @@ __all__ = [
     "check_fpure",
 ]
 
-GENERIC_P_GUARD = 5
 SPECIALIZED_GUARD = 7
 TILDE_MODES = ("row", "column", "both")
-FPURE_PRIMES = (2, 3, 5, 7)
-FPURE_SKIPPED_CELLS = {(5, 7)}
 
 
 def var(i: int, j: int) -> str:
@@ -148,14 +146,10 @@ def _distinct_vars(M: PolyMatrix) -> int:
 
 
 def compute_P(M: PolyMatrix, *, force: bool = False) -> MvPolynomial:
-    """P(M) = det(D(M)), exactly.  Fully generic matrices are capped at
-    n <= 5; specialized (sparser) matrices at n <= 7."""
-    n = M.n
-    if not force:
-        if n > SPECIALIZED_GUARD:
-            raise SizeGuardError(f"compute_P guard: n <= {SPECIALIZED_GUARD}, got {n}")
-        if n > GENERIC_P_GUARD and _distinct_vars(M) >= n * n:
-            raise SizeGuardError(f"compute_P guard: n <= {GENERIC_P_GUARD} for a fully generic matrix, got {n}")
+    """P(M) = det(D(M)), exactly.  Fully generic matrices are held to the
+    pofx window; specialized (sparser) ones to diag_matrix's budget."""
+    if not force and _distinct_vars(M) >= M.n * M.n:
+        guard("pofx", M.n)
     D = diag_matrix(M, force=force)
     # the transpose has rows of increasing degree, which keeps the subset
     # dynamic program's heavy products at the last level only
@@ -173,8 +167,7 @@ def verify_block_factorization(n: int, mode: str = "both", *, force: bool = Fals
         P(killed X) == P(X0) * charpoly(X0) evaluated at x_n_n
 
     True exactly when the identity holds."""
-    if not force and not 2 <= n <= 5:
-        raise SizeGuardError(f"block factorization guard: 2 <= n <= 5, got {n}")
+    guard("lemma2", n, force)
     X = generic_matrix(n)
     spec = build_specialization(n, "tilde", mode)
     lhs = compute_P(spec.apply_to_matrix(X), force=force)
@@ -196,8 +189,7 @@ def verify_peeling_identity(n: int, *, force: bool = False) -> bool:
     The sign exponent n(n-1)/2 is forced by independent expansion of both
     sides; at odd n it coincides with (n-2)(n-1)/2.
     """
-    if not force and not 3 <= n <= 6:
-        raise SizeGuardError(f"peeling identity guard: 3 <= n <= 6, got {n}")
+    guard("induction", n, force)
     X = generic_matrix(n)
     lhs = compute_P(build_specialization(n, "kill_s").apply_to_matrix(X), force=force)
     ctx, dom = X.ctx, X.dom
@@ -232,8 +224,7 @@ def antidiag_unit_coeff(n: int, spec: str = "kill_s", *, force: bool = False) ->
     The determinant is computed modulo the monomial ideal of non-divisors of
     the target (exponents only grow under multiplication, so this changes no
     coefficient of a divisor of the target)."""
-    if not force and not 2 <= n <= 6:
-        raise SizeGuardError(f"antidiag coefficient guard: 2 <= n <= 6, got {n}")
+    guard("antidiag", n, force)
     if spec not in ("kill_s", "kill_s0"):
         raise ValueError(f"spec must be 'kill_s' or 'kill_s0', got {spec!r}")
     X = generic_matrix(n)
@@ -254,8 +245,7 @@ def sop_normal_form(n: int, *, force: bool = False) -> SopNormalForm:
     """Under the system-of-parameters specialization, P collapses to
     sign * x_1_1^(n(n-1)/2); returns the sign and exponent, and raises
     NormalFormError if the collapse fails (a defect signal)."""
-    if not force and not 2 <= n <= 6:
-        raise SizeGuardError(f"sop normal form guard: 2 <= n <= 6, got {n}")
+    guard("sop", n, force)
     X = generic_matrix(n)
     P = compute_P(build_specialization(n, "sop").apply_to_matrix(X), force=force)
     if len(P.terms) != 1:
@@ -282,13 +272,7 @@ def _killed_P(n: int) -> MvPolynomial:
 def check_fpure(n: int, p: int, *, force: bool = False) -> FedderVerdict:
     """Specialize P by the anti-diagonal kill, reinterpret it over F_p in the
     surviving variables (i + j <= n), and run the Fedder membership test."""
-    if not force:
-        if not 2 <= n <= 5:
-            raise SizeGuardError(f"check_fpure guard: 2 <= n <= 5, got {n}")
-        if p not in FPURE_PRIMES:
-            raise SizeGuardError(f"check_fpure guard: p must be one of {FPURE_PRIMES}, got {p}")
-        if (n, p) in FPURE_SKIPPED_CELLS:
-            raise SizeGuardError(f"check_fpure guard: cell (n, p) = ({n}, {p}) is out of budget")
+    guard("fedder", n, force, p)
     f = _killed_P(n)
     survivors = [var(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n]
     g = f.with_context(VarContext(survivors)).with_domain(GF(p))

@@ -22,13 +22,6 @@ class FedderVerdict:
     p: int
     var_count: int
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "fpure": self.fpure,
-            "witness": list(self.witness) if self.witness is not None else None,
-        }
-
 
 def _as_modp(f: MvPolynomial, p: int) -> MvPolynomial:
     dom = GF(p)

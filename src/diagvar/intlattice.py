@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotUnimodularError, SchemaError, SizeGuardError
+from .guards import guard
 
 __all__ = [
     "IntMatrix",
@@ -23,13 +24,11 @@ __all__ = [
     "power_diagonal_check",
     "BandReport",
     "verify_inverse_bands",
-    "intmatrix_to_json",
     "intmatrix_from_json",
 ]
 
 DET_GUARD = 64
 POWER_SPAN_GUARD = 10
-BAND_GUARD = 12
 
 
 class IntMatrix:
@@ -361,13 +360,12 @@ def _matches_band_formula(M: IntMatrix, n: int, j: int) -> bool:
     return True
 
 
-def verify_inverse_bands(n: int, j_max: int | None = None) -> BandReport:
+def verify_inverse_bands(n: int, j_max: int | None = None, *, force: bool = False) -> BandReport:
     """Verify the closed forms for B, the inverse of the anti-triangular
     ones matrix: B^2 is tridiagonal, B^(2j-1) is a two-band matrix for
     j <= j_max, the diagonals of the first n odd powers span Z^n, and the
     power-diagonal determinant of the ones matrix is a unit."""
-    if not 2 <= n <= BAND_GUARD:
-        raise SizeGuardError(f"band verification guard: 2 <= n <= {BAND_GUARD}, got {n}")
+    guard("lemma5", n, force)
     if j_max is None:
         j_max = n - 1
     if not 1 <= j_max <= n - 1:
@@ -390,16 +388,6 @@ def verify_inverse_bands(n: int, j_max: int | None = None) -> BandReport:
 
 
 # -- JSON form ----------------------------------------------------------------
-
-_SAFE_JSON_INT = 2**53
-
-
-def intmatrix_to_json(A: IntMatrix) -> dict:
-    entries = []
-    for row in A.rows:
-        entries.append([e if abs(e) < _SAFE_JSON_INT else str(e) for e in row])
-    return {"n": A.n, "entries": entries}
-
 
 def intmatrix_from_json(obj) -> IntMatrix:
     """Load {"n": int, "entries": [[int-or-decimal-string, ...], ...]}."""

@@ -9,7 +9,7 @@ hard size guard keeps the state count bounded.
 from __future__ import annotations
 
 from .errors import ContextError, DiagvarError, DomainError, SchemaError, SizeGuardError
-from .polyring import ZZ, Domain, MvPolynomial, VarContext, _tokens, format_poly, parse_poly
+from .polyring import ZZ, Domain, MvPolynomial, VarContext, _tokens, parse_poly
 from .polyring import _bound_masks, _mul_into, _reduced, _width
 
 DET_GUARD = 8
@@ -177,10 +177,6 @@ class PolyMatrix:
 
 
 # -- JSON form ----------------------------------------------------------------
-
-
-def polymatrix_to_json(M: PolyMatrix) -> dict:
-    return {"n": M.n, "entries": [[format_poly(e) for e in row] for row in M.rows]}
 
 
 def polymatrix_from_json(obj) -> PolyMatrix:

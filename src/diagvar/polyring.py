@@ -36,7 +36,6 @@ __all__ = [
     "MvPolynomial",
     "parse_poly",
     "format_poly",
-    "poly_to_json",
     "poly_from_json",
 ]
 
@@ -705,19 +704,6 @@ def parse_poly(text: str, ctx: VarContext, dom: Domain) -> MvPolynomial:
 
 
 # -- JSON form ----------------------------------------------------------------
-
-
-def poly_to_json(f: MvPolynomial) -> dict:
-    if f.dom.is_modp:
-        domain = {"kind": "Fp", "p": f.dom.p}
-    else:
-        domain = {"kind": "Z"}
-    order = sorted(f.terms.items(), key=_graded_lex, reverse=True)
-    return {
-        "vars": list(f.ctx.names),
-        "domain": domain,
-        "terms": [{"coeff": str(c), "exps": list(m)} for m, c in order],
-    }
 
 
 def poly_from_json(obj) -> MvPolynomial:

@@ -232,6 +232,7 @@ def test_load_poly_matrix_file(tmp_path, capsys):
         pytest.param(["pofx", "--matrix"], {"n": 2, "entries": [["1", "x_1_1"], ["1", "x_2_2"]]}, id="pofx-matrix"),
         pytest.param(["pofx", "--n", "3", "--spec", "s"], None, id="pofx-spec"),
         pytest.param(["lemma4", "--matrix"], {"n": 2, "entries": [[1, 1], [1, 0]]}, id="lemma4-matrix"),
+        pytest.param(["lemma5", "--n", "13"], None, id="lemma5-past-guard"),
     ],
 )
 def test_force_is_marked_in_report(tmp_path, capsys, argv, matrix):

@@ -106,10 +106,3 @@ def test_squarefree_unit_monomial_is_fpure_for_every_prime():
         f = MvPolynomial(CTX, ZZ, {exps: rng.choice([1, -1])})
         for p in (2, 3, 5, 7):
             assert fedder_check(f, p).fpure
-
-
-def test_verdict_json():
-    v = fedder_check(P("x_1_1"), 3)
-    assert v.to_json() == {"p": 3, "fpure": True, "witness": [2, 0, 0]}
-    w = fedder_check(P("x_1_1^2"), 2)
-    assert w.to_json() == {"p": 2, "fpure": False, "witness": None}
