@@ -111,8 +111,8 @@ def _lemma4_record(A, force: bool) -> dict:
     return _record("lemma4", n=A.n, passed=report.a == report.b, detail=detail, force=force)
 
 
-def cell_lemma5(n: int, j_max: int | None = None, force: bool = False) -> dict:
-    report = intlattice.verify_inverse_bands(n, j_max, force=force)
+def cell_lemma5(n: int, force: bool = False) -> dict:
+    report = intlattice.verify_inverse_bands(n, force=force)
     ok = report.b2 and report.odd and report.span and abs(report.p_of_a) == 1
     detail = {
         "b2": report.b2,
@@ -184,28 +184,19 @@ def _run_cells(cells) -> list:
 
 
 def _handle_pofx(args) -> list:
-    if args.matrix:
-        M = load_matrix(args.matrix, "poly")
-        if args.spec:
-            spec = diagvariety.build_specialization(M.n, SPEC_LABELS.get(args.spec, args.spec), args.mode)
-            M = spec.apply_to_matrix(M)
-        P = diagvariety.compute_P(M, force=args.force)
-        detail = {"poly": format_poly(P), "terms": len(P.terms)}
-        return [_record("pofx", n=M.n, detail=detail, force=args.force)]
-    n = _require_n(args)
+    if args.mode and not args.spec:
+        raise DiagvarError("--mode needs --spec tilde")
+    if not (args.matrix or args.spec):
+        return [cell_pofx(args.n, force=args.force)]
+    M = load_matrix(args.matrix, "poly") if args.matrix else diagvariety.generic_matrix(args.n)
+    detail = {}
     if args.spec:
-        M = diagvariety.generic_matrix(n)
-        spec = diagvariety.build_specialization(n, SPEC_LABELS.get(args.spec, args.spec), args.mode)
-        P = diagvariety.compute_P(spec.apply_to_matrix(M), force=args.force)
-        detail = {"poly": format_poly(P), "terms": len(P.terms), "spec": args.spec}
-        return [_record("pofx", n=n, detail=detail, force=args.force)]
-    return [cell_pofx(n, force=args.force)]
-
-
-def _require_n(args) -> int:
-    if args.n is None:
-        raise DiagvarError("--n is required")
-    return args.n
+        spec = diagvariety.build_specialization(M.n, SPEC_LABELS.get(args.spec, args.spec), args.mode)
+        M = spec.apply_to_matrix(M)
+        detail["spec"] = args.spec
+    P = diagvariety.compute_P(M, force=args.force)
+    detail.update(poly=format_poly(P), terms=len(P.terms))
+    return [_record("pofx", n=M.n, detail=detail, force=args.force)]
 
 
 def _handle_lemma2(args) -> list:
@@ -234,11 +225,11 @@ def _handle_fedder(args) -> list:
 def _handle_lemma4(args) -> list:
     if args.matrix:
         return [_lemma4_record(load_matrix(args.matrix, "int"), args.force)]
-    return [cell_lemma4(_require_n(args), force=args.force)]
+    return [cell_lemma4(args.n, force=args.force)]
 
 
 def _handle_lemma5(args) -> list:
-    return [cell_lemma5(args.n, args.j_max, force=args.force)]
+    return [cell_lemma5(args.n, force=args.force)]
 
 
 def _record_key(r: dict):
@@ -337,13 +328,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, n_help=None, n_required=True):
+    def add(name, help_text, n_help=None, matrix_help=None):
+        """A subcommand.  With matrix_help it also takes --matrix, which
+        fixes the size and so excludes --n."""
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None, help="write the report to a file instead of stdout")
         if name in WINDOWS:
             n_help = n_help or f"matrix size; runs unforced at {describe(name)}"
-            p.add_argument("--n", type=int, required=n_required, help=n_help)
+            if matrix_help:
+                size = p.add_mutually_exclusive_group(required=True)
+                size.add_argument("--n", type=int, help=n_help)
+                size.add_argument("--matrix", help=matrix_help)
+            else:
+                p.add_argument("--n", type=int, required=True, help=n_help)
             p.add_argument("--force", action="store_true", help="override size guards (marked in the report)")
         return p
 
@@ -352,11 +350,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "compute P for the generic or a specialized matrix",
         n_help=f"matrix size; runs unforced at {describe('pofx')} for the generic matrix, "
         f"and at n <= {diagvariety.SPECIALIZED_GUARD} specialized",
-        n_required=False,
+        matrix_help="JSON file with a polynomial matrix",
     )
     p.add_argument("--spec", choices=("s", "s0", "sop", "tilde"))
-    p.add_argument("--mode", choices=diagvariety.TILDE_MODES)
-    p.add_argument("--matrix", help="JSON file with a polynomial matrix")
+    p.add_argument("--mode", choices=diagvariety.TILDE_MODES, help="needs --spec tilde")
     p.set_defaults(handler=_handle_pofx)
 
     p = add("lemma2", "verify the corner-block factorization of P")
@@ -382,13 +379,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "power-diagonal span equivalences for a unimodular matrix",
         n_help=f"size of the anti-triangular ones matrix; the suite runs {describe('lemma4')}, "
         f"and any n <= {intlattice.POWER_SPAN_GUARD} runs unforced",
-        n_required=False,
+        matrix_help="JSON file with an integer matrix",
     )
-    p.add_argument("--matrix", help="JSON file with an integer matrix")
     p.set_defaults(handler=_handle_lemma4)
 
     p = add("lemma5", "closed forms for the inverse of the anti-triangular ones matrix")
-    p.add_argument("--j-max", type=int, default=None, dest="j_max")
     p.set_defaults(handler=_handle_lemma5)
 
     p = add("suite", "run every check over its window, up to --max-n")

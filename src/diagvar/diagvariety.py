@@ -98,6 +98,8 @@ def build_specialization(n: int, label: str, mode: str | None = None, dom: Domai
             for j in range(1, n):
                 asg[var(n, j)] = zero
     elif label == "sop":
+        if mode is not None:
+            raise ValueError("sop takes no mode")
         x11 = MvPolynomial.variable(ctx, dom, var(1, 1))
         for i in range(1, n + 1):
             for j in range(1, n + 1):

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NotUnimodularError, SchemaError, SizeGuardError
 from .guards import guard
@@ -69,7 +68,6 @@ class IntMatrix:
             return NotImplemented
         if self.n != other.n:
             raise ValueError("matrix sizes differ")
-        n = self.n
         cols = other.transpose().rows
         return IntMatrix(
             [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
@@ -82,15 +80,21 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.rows]!r})"
 
 
-def int_det(A: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = A.n
+def _fraction_free_reduce(rows: list, n: int):
+    """Fraction-free Gauss-Jordan elimination of integer rows whose leading
+    n-by-n block is square: Bareiss's exact divisions (Math. Comp. 22, 1968)
+    applied above and below each pivot, as in Nakos, Turner & Williams
+    (SIGSAM Bull. 31, 1997).  Returns (det, rows)
+    where det is the determinant of that block and, when det != 0, the block
+    has become d*I with d = +-det and every other column is scaled to match,
+    so for rows [A | I] the right block is d * A^-1.  Every division is
+    exact.  A zero det returns at once with the rows part-reduced."""
     if n > DET_GUARD:
         raise SizeGuardError(f"int_det guard: n <= {DET_GUARD}, got {n}")
-    m = [list(r) for r in A.rows]
+    m = [list(r) for r in rows]
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if m[k][k] == 0:
             for r in range(k + 1, n):
                 if m[r][k]:
@@ -98,51 +102,34 @@ def int_det(A: IntMatrix) -> int:
                     sign = -sign
                     break
             else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            mi = m[i]
-            mk = m[k]
-            mik = mi[k]
-            for j in range(k + 1, n):
-                mi[j] = (mi[j] * pivot - mik * mk[j]) // prev
-            mi[k] = 0
+                return 0, m
+        mk = m[k]
+        pivot = mk[k]
+        for i in range(n):
+            if i != k:
+                mik = m[i][k]
+                m[i] = [(pivot * x - mik * y) // prev for x, y in zip(m[i], mk)]
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return sign * prev, m
+
+
+def int_det(A: IntMatrix) -> int:
+    """Exact determinant by fraction-free elimination."""
+    return _fraction_free_reduce(A.rows, A.n)[0]
 
 
 def unimodular_inverse(A: IntMatrix) -> IntMatrix:
-    """Exact integer inverse of a matrix with determinant +1 or -1.
-    The product A * A^-1 is re-checked before returning."""
-    d = int_det(A)
-    if d not in (1, -1):
-        raise NotUnimodularError(f"determinant is {d}, expected +1 or -1")
+    """Exact integer inverse of a matrix with determinant +1 or -1, read off
+    the fraction-free reduction of [A | I].  The product A * A^-1 is
+    re-checked before returning."""
     n = A.n
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(A.rows)
-    ]
-    for k in range(n):
-        if aug[k][k] == 0:
-            for r in range(k + 1, n):
-                if aug[r][k]:
-                    aug[k], aug[r] = aug[r], aug[k]
-                    break
-        pivot = aug[k][k]
-        aug[k] = [x / pivot for x in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k]:
-                f = aug[i][k]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
-    inv_rows = []
-    for row in aug:
-        out = []
-        for x in row[n:]:
-            if x.denominator != 1:
-                raise ArithmeticError("inverse is not integral")
-            out.append(int(x))
-        inv_rows.append(out)
-    B = IntMatrix(inv_rows)
+    det, rows = _fraction_free_reduce(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(A.rows)], n
+    )
+    if det not in (1, -1):
+        raise NotUnimodularError(f"determinant is {det}, expected +1 or -1")
+    d = rows[0][0]  # the leading block is d*I with d = +-1, so A^-1 = d * right block
+    B = IntMatrix([[d * x for x in row[n:]] for row in rows])
     if A * B != IntMatrix.identity(n):
         raise ArithmeticError("inverse verification failed")
     return B
@@ -165,17 +152,22 @@ def int_pow(A: IntMatrix, k: int) -> IntMatrix:
 
 
 def diag_of_powers_matrix(A: IntMatrix, exponents) -> IntMatrix:
-    """The matrix whose column j is the main diagonal of A**exponents[j]."""
+    """The matrix whose column j is the main diagonal of A**exponents[j].
+    The powers are walked once in ascending order, one product per step."""
     exponents = list(exponents)
-    if len(exponents) != A.n:
-        raise ValueError(f"need exactly {A.n} exponents, got {len(exponents)}")
-    cache: dict = {}
-    cols = []
-    for e in exponents:
-        if e not in cache:
-            cache[e] = int_pow(A, e)
-        cols.append(cache[e].diagonal())
-    return IntMatrix([[cols[j][i] for j in range(len(cols))] for i in range(A.n)])
+    n = A.n
+    if len(exponents) != n:
+        raise ValueError(f"need exactly {n} exponents, got {len(exponents)}")
+    order = sorted(range(n), key=exponents.__getitem__)
+    e = exponents[order[0]]
+    power = int_pow(A, e)
+    cols = [None] * n
+    for j in order:
+        while e < exponents[j]:
+            power = power * A
+            e += 1
+        cols[j] = power.diagonal()
+    return IntMatrix(cols).transpose()
 
 
 def _xgcd(a: int, b: int):
@@ -360,16 +352,12 @@ def _matches_band_formula(M: IntMatrix, n: int, j: int) -> bool:
     return True
 
 
-def verify_inverse_bands(n: int, j_max: int | None = None, *, force: bool = False) -> BandReport:
+def verify_inverse_bands(n: int, *, force: bool = False) -> BandReport:
     """Verify the closed forms for B, the inverse of the anti-triangular
     ones matrix: B^2 is tridiagonal, B^(2j-1) is a two-band matrix for
-    j <= j_max, the diagonals of the first n odd powers span Z^n, and the
+    j = 1..n-1, the diagonals of the first n odd powers span Z^n, and the
     power-diagonal determinant of the ones matrix is a unit."""
     guard("lemma5", n, force)
-    if j_max is None:
-        j_max = n - 1
-    if not 1 <= j_max <= n - 1:
-        raise ValueError(f"j_max must lie in [1, n-1], got {j_max}")
     A = antidiagonal_ones(n)
     B = unimodular_inverse(A)
     B2 = B * B
@@ -378,7 +366,7 @@ def verify_inverse_bands(n: int, j_max: int | None = None, *, force: bool = Fals
     span_vectors = []
     odd_power = B
     for j in range(1, n + 1):
-        if j <= j_max:
+        if j < n:
             odd_ok = odd_ok and _matches_band_formula(odd_power, n, j)
         span_vectors.append(odd_power.diagonal())
         odd_power = odd_power * B2

@@ -97,6 +97,38 @@ def test_usage_error_exits_2(capsys):
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["pofx", "--n", "3", "--mode", "row"], id="pofx-mode-without-spec"),
+        pytest.param(["pofx", "--n", "3", "--spec", "sop", "--mode", "row"], id="pofx-sop-mode"),
+        pytest.param(["pofx", "--n", "3", "--spec", "s", "--mode", "row"], id="pofx-kill-s-mode"),
+    ],
+)
+def test_pofx_rejects_a_mode_it_would_drop(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "mode" in err
+
+
+@pytest.mark.parametrize("command", ["pofx", "lemma4"])
+def test_n_and_matrix_exclude_each_other(tmp_path, capsys, command):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "entries": [[1, 1], [1, 0]]}))
+    with pytest.raises(SystemExit) as e:
+        cli.main([command, "--n", "3", "--matrix", str(path)])
+    assert e.value.code == 2
+    assert "not allowed with argument --n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pofx", "lemma4"])
+def test_n_or_matrix_is_required(capsys, command):
+    with pytest.raises(SystemExit) as e:
+        cli.main([command])
+    assert e.value.code == 2
+
+
 def test_unknown_check_in_suite(capsys):
     code, _, err = run(capsys, "suite", "--checks", "bogus")
     assert code == 2
@@ -233,6 +265,7 @@ def test_load_poly_matrix_file(tmp_path, capsys):
         pytest.param(["pofx", "--n", "3", "--spec", "s"], None, id="pofx-spec"),
         pytest.param(["lemma4", "--matrix"], {"n": 2, "entries": [[1, 1], [1, 0]]}, id="lemma4-matrix"),
         pytest.param(["lemma5", "--n", "13"], None, id="lemma5-past-guard"),
+        pytest.param(["lemma5", "--n", "1"], None, id="lemma5-n1"),
     ],
 )
 def test_force_is_marked_in_report(tmp_path, capsys, argv, matrix):

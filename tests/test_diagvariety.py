@@ -97,6 +97,8 @@ def test_bad_specialization_arguments():
         build_specialization(3, "tilde")
     with pytest.raises(ValueError):
         build_specialization(3, "kill_s", "row")
+    with pytest.raises(ValueError, match="sop takes no mode"):
+        build_specialization(3, "sop", "row")
     with pytest.raises(ValueError):
         build_specialization(3, "nonsense")
 

@@ -256,13 +256,6 @@ def test_band_report_all_sizes():
         assert rep.b2 and rep.odd and rep.span and abs(rep.p_of_a) == 1, (n, rep)
 
 
-def test_band_report_j_max_argument():
-    rep = verify_inverse_bands(6, j_max=2)
-    assert rep.odd
-    with pytest.raises(ValueError):
-        verify_inverse_bands(6, j_max=6)
-
-
 def test_band_report_guard():
     with pytest.raises(SizeGuardError):
         verify_inverse_bands(13)

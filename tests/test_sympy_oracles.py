@@ -1,14 +1,25 @@
-"""Independent oracles: P, the characteristic polynomial and the Fedder
-witness coefficient recomputed with sympy, which shares no arithmetic with
-diagvar.  sympy is imported at module level on purpose: without it this
+"""Independent oracles: P, the characteristic polynomial, the Fedder
+witness coefficient and the integer layer (determinants, unimodular
+inverses, diagonals of powers) recomputed with sympy, which shares no
+arithmetic with diagvar.  sympy is imported at module level on purpose: without it this
 module fails to collect instead of skipping."""
+
+import random
 
 import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
 from diagvar.diagvariety import build_specialization, check_fpure, compute_P, generic_matrix
+from diagvar.intlattice import (
+    IntMatrix,
+    antidiagonal_ones,
+    diag_of_powers_matrix,
+    int_det,
+    unimodular_inverse,
+)
 from diagvar.polyring import GF, VarContext
+from oracles import random_unimodular
 
 
 def _sympy_X(n: int, cut: int | None = None):
@@ -88,3 +99,71 @@ def test_fedder_witness_coefficient_matches_sympy(n, p):
     assert g.pow_capped(p - 1, cap=p).coefficient(target) == expected
     h = g.pow_capped((p - 1) // 2, cap=p)
     assert h.mul_coefficient(h, target) == expected
+
+
+# -- the integer layer -----------------------------------------------------------
+
+
+def _random_int_rows(rng, n: int, kind: str):
+    """A seeded n-by-n integer matrix: small dense entries, mostly zeros
+    (pivots must be searched for), rank deficient, or entries near 10**12."""
+    bound = 10**12 if kind == "huge" else 9
+    density = 0.25 if kind == "sparse" else 1.0
+    rows = [[rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+    if kind == "singular" and n > 1:
+        # one row becomes a combination of two others
+        i = rng.randrange(n)
+        j, k = (rng.choice([r for r in range(n) if r != i]) for _ in range(2))
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "singular", "huge"])
+def test_int_det_matches_sympy(kind):
+    rng = random.Random(f"int_det {kind}")
+    for _ in range(30):
+        n = rng.randint(1, 9)
+        rows = _random_int_rows(rng, n, kind)
+        expected = int(sympy.Matrix(rows).det(method="berkowitz"))
+        if kind == "singular" and n > 1:
+            assert expected == 0
+        assert int_det(IntMatrix(rows)) == expected, rows
+
+
+def _sympy_inverse(A: IntMatrix) -> IntMatrix:
+    inv = sympy.Matrix(A.rows).inv()
+    assert all(x.is_integer for x in inv)
+    return IntMatrix([[int(inv[i, j]) for j in range(A.n)] for i in range(A.n)])
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_ones_family_inverse_matches_sympy(n):
+    A = antidiagonal_ones(n)
+    assert unimodular_inverse(A) == _sympy_inverse(A)
+
+
+def test_seeded_unimodular_inverse_matches_sympy():
+    rng = random.Random("unimodular_inverse")
+    for _ in range(40):
+        A = random_unimodular(rng, rng.randint(1, 8), steps=20)
+        assert unimodular_inverse(A) == _sympy_inverse(A), A
+
+
+def _sympy_power_diagonals(A: IntMatrix, exponents) -> IntMatrix:
+    M = sympy.Matrix(A.rows)
+    cols = [[int((M**e)[i, i]) for i in range(A.n)] for e in exponents]
+    return IntMatrix([[cols[j][i] for j in range(A.n)] for i in range(A.n)])
+
+
+@pytest.mark.parametrize("exponents", [(-2, 0, 0, 3), (3, -1, 3, -2), (5, 5, 5, 5), (0, 1, 2, 3)])
+def test_diag_of_powers_matches_sympy(exponents):
+    rng = random.Random(f"diag_of_powers {exponents}")
+    for A in [antidiagonal_ones(4)] + [random_unimodular(rng, 4) for _ in range(6)]:
+        assert diag_of_powers_matrix(A, exponents) == _sympy_power_diagonals(A, exponents), A
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_ones_family_power_diagonals_match_sympy(n):
+    A = antidiagonal_ones(n)
+    assert diag_of_powers_matrix(A, range(n)) == _sympy_power_diagonals(A, range(n))
