@@ -73,9 +73,6 @@ class IntMatrix:
             [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
         )
 
-    def __pow__(self, k: int) -> "IntMatrix":
-        return int_pow(self, k)
-
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.rows]!r})"
 
@@ -363,13 +360,12 @@ def verify_inverse_bands(n: int, *, force: bool = False) -> BandReport:
     B2 = B * B
     b2_ok = B2 == _tridiagonal_square_form(n)
     odd_ok = True
-    span_vectors = []
     odd_power = B
-    for j in range(1, n + 1):
-        if j < n:
-            odd_ok = odd_ok and _matches_band_formula(odd_power, n, j)
-        span_vectors.append(odd_power.diagonal())
+    span_vectors = [B.diagonal()]
+    for j in range(1, n):
+        odd_ok = odd_ok and _matches_band_formula(odd_power, n, j)
         odd_power = odd_power * B2
+        span_vectors.append(odd_power.diagonal())
     span_ok = spans_Zn(span_vectors)
     p_of_a = int_det(diag_of_powers_matrix(A, range(n)))
     return BandReport(b2=b2_ok, odd=odd_ok, span=span_ok, p_of_a=p_of_a)

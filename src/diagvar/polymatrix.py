@@ -96,19 +96,6 @@ class PolyMatrix:
             out.append(orow)
         return PolyMatrix(out)
 
-    def __pow__(self, k: int) -> "PolyMatrix":
-        if k < 0:
-            raise ValueError("matrix power must be non-negative")
-        result = PolyMatrix.identity(self.ctx, self.dom, self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
     def det(self, *, force: bool = False) -> MvPolynomial:
         """Exact determinant via the subset dynamic program."""
         return self._det(None, force)

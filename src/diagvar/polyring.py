@@ -219,6 +219,22 @@ def _reduced(out: dict, p: int | None) -> dict:
     return red
 
 
+def _reduce_in_place(out: dict, p: int | None) -> None:
+    # for dicts the caller owns that cancel little: one pass, no copy
+    if p is None:
+        zeros = [k for k, v in out.items() if not v]
+    else:
+        zeros = []
+        for k, v in out.items():
+            v %= p
+            if v:
+                out[k] = v
+            else:
+                zeros.append(k)
+    for k in zeros:
+        del out[k]
+
+
 class _Terms(Mapping):
     """Read-only view of a polynomial's terms, keyed by exponent tuples."""
 
@@ -473,25 +489,37 @@ class MvPolynomial:
 
     def pow_capped(self, k: int, cap: int | None = None) -> "MvPolynomial":
         """Exact k-th power; with a cap, every monomial holding an exponent
-        >= cap is deleted, eagerly during the squaring chain (sound because
-        exponents only grow under multiplication)."""
+        >= cap is deleted (sound because exponents only grow under
+        multiplication).  The base is truncated at the cap once, and an
+        accumulator starting at one is multiplied by it k times, dropping
+        capped terms as each product forms.  For a small sparse base this
+        forms fewer term pairs than square-and-multiply, whose last product
+        pairs two large powers: at k = 6 on the killed P at n = 5 (32 terms,
+        cap 13), 1,012,288 pairs against 2,640,160."""
         if k < 0:
             raise ValueError("exponent must be non-negative")
         if cap is not None and cap < 1:
             raise ValueError("cap must be at least 1")
-        result = MvPolynomial.one(self.ctx, self.dom)
         if k == 0:
-            return result
-        bound = None if cap is None else (cap - 1,) * len(self.ctx)
-        # result is 1 here, so this drops the terms of self above the bound
-        base = self if bound is None else result._mul(self, bound)
-        while True:
-            if k & 1:
-                result = result._mul(base, bound)
-            k >>= 1
-            if not k:
-                return result
-            base = base._mul(base, bound)
+            return MvPolynomial.one(self.ctx, self.dom)
+        # after j products the exponents are at most j*e, and below the cap;
+        # one width holds the last accumulator plus the base for the chain
+        e = self._e if cap is None else min(self._e, cap - 1)
+        acc_e, out_e = (k - 1) * e, k * e
+        if cap is not None:
+            acc_e, out_e = min(acc_e, cap - 1), min(out_e, cap - 1)
+        w = max(self._w, _width(acc_e + e))
+        masks = _bound_masks(None if cap is None else (cap - 1,) * len(self.ctx), w)
+        add, flag = masks
+        base = {key: c for key, c in self._at(w).items() if not (key + add) & flag}
+        p = self.dom.p
+        acc: dict = {0: 1}
+        for _ in range(k):
+            out: dict = {}
+            _mul_into(out, acc, base, 1, masks)
+            acc = out  # frees the previous power before the reduction
+            _reduce_in_place(acc, p)
+        return MvPolynomial._raw(self.ctx, self.dom, acc, out_e, w)
 
     def substitute(self, assignments: Mapping[str, "MvPolynomial"]) -> "MvPolynomial":
         """Simultaneous substitution of variables by polynomials

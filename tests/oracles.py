@@ -67,8 +67,12 @@ def delete_high_exponents(f: MvPolynomial, cap: int) -> MvPolynomial:
 
 
 def pow_then_delete(f: MvPolynomial, k: int, cap: int) -> MvPolynomial:
-    """Uncapped power followed by one deletion pass."""
-    return delete_high_exponents(f.pow_capped(k), cap)
+    """Uncapped power by k tuple products starting at one, followed by one
+    deletion pass."""
+    power = MvPolynomial.one(f.ctx, f.dom)
+    for _ in range(k):
+        power = tuple_product(power, f)
+    return delete_high_exponents(power, cap)
 
 
 def frobenius_power_bruteforce(f: MvPolynomial, p: int) -> MvPolynomial:

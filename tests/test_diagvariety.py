@@ -327,7 +327,7 @@ def test_sop_normal_form_larger_sizes_match_permutation_expansion():
 
 def test_sop_intermediate_powers_n4():
     Xs = specialized(4, "sop")
-    sq = Xs**2
+    sq = Xs * Xs
     texts = entry_texts(sq)
     assert texts[0][0] == "3*x_1_1^2"
     assert texts[1][1] == "2*x_1_1^2"

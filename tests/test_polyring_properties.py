@@ -48,6 +48,8 @@ def test_product_matches_tuple_oracle(dom, data):
 
 @PROPERTY
 @given(polys(GF(7), st.integers(-30, 30)), polys(GF(7), st.integers(-30, 30)), st.integers(0, 3), CAPS)
+# (a^2 + a*b + 3*b^2)^2 has 7*a^2*b^2, a term that cancels mod 7
+@example(MvPolynomial(CTX, GF(7), {(2, 0, 0): 1, (1, 1, 0): 1, (0, 2, 0): 3}), MvPolynomial(CTX, GF(7)), 2, 5)
 def test_modp_results_are_canonical(f, g, k, cap):
     for h in (f, f + g, f - g, f * g, -f, 3 * f, f.pow_capped(k, cap=cap)):
         assert all(0 < c < 7 for c in h.terms.values())
@@ -88,6 +90,15 @@ def test_mul_coefficient_of_a_monomial_past_the_field():
     g = MvPolynomial(CTX, ZZ, {(0, 64, 0): 1})
     assert f.mul_coefficient(g, (16, 64, 0)) == 1
     assert f.mul_coefficient(g, (16400, 0, 0)) == 0
+
+
+def test_mul_coefficient_of_a_power_past_the_field():
+    # h = a^200 + 2*a^100*b + b^2 must be packed wider than 8 bits: in 8-bit
+    # fields a^200 * a^100*b = a^300*b would carry into b's field and read
+    # as a^44 * b^2
+    h = MvPolynomial(CTX, ZZ, {(100, 0, 0): 1, (0, 1, 0): 1}).pow_capped(2)
+    assert h.mul_coefficient(h, (300, 1, 0)) == 4
+    assert h.mul_coefficient(h, (44, 2, 0)) == 0
 
 
 DEGREE_EXPONENTS = st.one_of(st.integers(0, 3), st.integers(124, 131), st.integers(32764, 32771))
