@@ -183,7 +183,8 @@ def _xgcd(a: int, b: int):
 
 class ZLattice:
     """Integer row lattice kept in echelon (Hermite-style) form.  Pivots are
-    normalized positive; only membership and fullness are exposed."""
+    normalized positive; `add` reports growth, so a vector is a member
+    exactly when adding it leaves the lattice as it was."""
 
     __slots__ = ("n", "rows", "pivots")
 
@@ -227,23 +228,6 @@ class ZLattice:
                 self.rows[r] = merged
                 changed = True
         return changed
-
-    def contains(self, vec) -> bool:
-        v = list(vec)
-        if len(v) != self.n:
-            raise ValueError(f"vector length {len(v)} != ambient dimension {self.n}")
-        for col in range(self.n):
-            if v[col] == 0:
-                continue
-            r = self._pivot_row(col)
-            if r is None:
-                return False
-            row = self.rows[r]
-            if v[col] % row[col]:
-                return False
-            q = v[col] // row[col]
-            v = [x - q * y for x, y in zip(v, row)]
-        return True
 
     def is_full(self) -> bool:
         """True iff the lattice is all of Z^n."""

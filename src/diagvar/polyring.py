@@ -20,9 +20,10 @@ coefficients are kept as canonical representatives in [0, p).
 
 from __future__ import annotations
 
+import math
 import operator
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from functools import partial, reduce
 from itertools import repeat
 
@@ -41,28 +42,8 @@ __all__ = [
 
 
 def _is_prime(p: int) -> bool:
-    # Miller-Rabin with bases 2,3,5,7 is deterministic below 3.2e9,
-    # which covers the whole allowed modulus range [2, 2^31).
-    if p < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-        if p % q == 0:
-            return p == q
-    d, r = p - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
+    # trial division up to isqrt(p); below 2^31 that is at most 46340
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 class Domain:
@@ -235,6 +216,16 @@ def _reduce_in_place(out: dict, p: int | None) -> None:
         del out[k]
 
 
+def _key_weights(keys, weight, w: int) -> list:
+    """The weight sum(weight[i] * e_i) of each packed key of width w.  Byte
+    j of field i weighs weight[i] * 256**j, so the sum is exact at every
+    width."""
+    step = w // 8
+    size = step * len(weight)
+    byte_weights = [c << (8 * j) for c in weight for j in range(step)]
+    return [sum(map(operator.mul, byte_weights, key.to_bytes(size, "little"))) for key in keys]
+
+
 class _Terms(Mapping):
     """Read-only view of a polynomial's terms, keyed by exponent tuples."""
 
@@ -327,10 +318,6 @@ class MvPolynomial:
     def terms(self) -> Mapping:
         """The nonzero coefficients keyed by exponent tuples (a read-only view)."""
         return _Terms(self)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._t
 
     def __bool__(self) -> bool:
         return bool(self._t)
@@ -449,6 +436,9 @@ class MvPolynomial:
         return self + (-other)
 
     def __rsub__(self, other):
+        """int - polynomial.  No code in the package subtracts a polynomial
+        from an int; this stays because `perfbench/passes.py` wraps it when
+        it traces the ring's additions."""
         return (-self) + other
 
     def _scaled(self, c: int) -> "MvPolynomial":
@@ -487,7 +477,9 @@ class MvPolynomial:
             e = min(e, max(bound, default=0))
         return MvPolynomial._raw(self.ctx, self.dom, _reduced(out, self.dom.p), e, w)
 
-    def pow_capped(self, k: int, cap: int | None = None) -> "MvPolynomial":
+    def pow_capped(
+        self, k: int, cap: int | None = None, weight: Sequence[int] | None = None, floor: int | None = None
+    ) -> "MvPolynomial":
         """Exact k-th power; with a cap, every monomial holding an exponent
         >= cap is deleted (sound because exponents only grow under
         multiplication).  The base is truncated at the cap once, and an
@@ -495,13 +487,28 @@ class MvPolynomial:
         capped terms as each product forms.  For a small sparse base this
         forms fewer term pairs than square-and-multiply, whose last product
         pairs two large powers: at k = 6 on the killed P at n = 5 (32 terms,
-        cap 13), 1,012,288 pairs against 2,640,160."""
+        cap 13), 1,012,288 pairs against 2,640,160.
+
+        With an integer weight vector and a floor, only the terms m of
+        weight w.m >= floor are returned, each with its exact coefficient.
+        Let mu be the largest weight of a truncated base term.  Each of the
+        k - j products still to come after product j adds at most mu, so a
+        term below floor - (k - j) * mu there cannot reach the floor, and
+        it is dropped at once (sound for every weight, as the cap is).  A
+        kept term keeps its exact coefficient: along each contribution to
+        it, the term after product i is at most (k - i) * mu below it, so
+        that term was kept too."""
         if k < 0:
             raise ValueError("exponent must be non-negative")
         if cap is not None and cap < 1:
             raise ValueError("cap must be at least 1")
+        if (weight is None) != (floor is None):
+            raise ValueError("a weight needs a floor and a floor needs a weight")
+        if weight is not None and len(weight) != len(self.ctx):
+            raise ContextError("weight length does not match context arity")
         if k == 0:
-            return MvPolynomial.one(self.ctx, self.dom)
+            one = MvPolynomial.one(self.ctx, self.dom)
+            return one if weight is None or floor <= 0 else MvPolynomial.zero(self.ctx, self.dom)
         # after j products the exponents are at most j*e, and below the cap;
         # one width holds the last accumulator plus the base for the chain
         e = self._e if cap is None else min(self._e, cap - 1)
@@ -512,13 +519,19 @@ class MvPolynomial:
         masks = _bound_masks(None if cap is None else (cap - 1,) * len(self.ctx), w)
         add, flag = masks
         base = {key: c for key, c in self._at(w).items() if not (key + add) & flag}
+        if weight is not None:
+            weigh = partial(_key_weights, weight=weight, w=w)
+            mu = max(weigh(base), default=0)
         p = self.dom.p
         acc: dict = {0: 1}
-        for _ in range(k):
+        for j in range(1, k + 1):
             out: dict = {}
             _mul_into(out, acc, base, 1, masks)
             acc = out  # frees the previous power before the reduction
             _reduce_in_place(acc, p)
+            if weight is not None:
+                low = floor - (k - j) * mu
+                acc = {key: c for (key, c), x in zip(acc.items(), weigh(acc)) if x >= low}
         return MvPolynomial._raw(self.ctx, self.dom, acc, out_e, w)
 
     def substitute(self, assignments: Mapping[str, "MvPolynomial"]) -> "MvPolynomial":

@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from diagvar.diagvariety import _killed_P, var
-from diagvar.errors import DomainError
+from diagvar.diagvariety import _killed_P, check_fpure, var
+from diagvar.errors import ContextError, DomainError
 from diagvar.fpurity import fedder_check
+from diagvar.guards import WINDOWS
 from diagvar.polyring import GF, ZZ, MvPolynomial, VarContext, parse_poly
 from oracles import frobenius_power_bruteforce, random_poly
 
@@ -61,7 +62,7 @@ def test_fedder_agrees_with_bruteforce_randomized():
     rng = random.Random(3001)
     for _ in range(120):
         f = random_poly(rng, CTX, ZZ, max_terms=3, max_exp=3)
-        if f.is_zero:
+        if not f:
             continue
         for p in (2, 3):
             expected = bool(frobenius_power_bruteforce(f, p).terms)
@@ -91,7 +92,7 @@ def test_capped_power_is_already_bracket_reduced():
     rng = random.Random(3002)
     for _ in range(60):
         f = random_poly(rng, CTX, ZZ, max_terms=3, max_exp=2)
-        if f.is_zero:
+        if not f:
             continue
         for p in (2, 3, 5):
             g = f.with_domain(GF(p)).pow_capped(p - 1, cap=p)
@@ -109,14 +110,78 @@ def test_squarefree_unit_monomial_is_fpure_for_every_prime():
             assert fedder_check(f, p).fpure
 
 
+def killed(n, p):
+    """check_fpure's input: the killed P over GF(p) in its survivors, and
+    the survivors' (i, j)."""
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n]
+    f = _killed_P(n).with_context(VarContext(var(i, j) for i, j in cells)).with_domain(GF(p))
+    return f, cells
+
+
 def test_half_power_matches_a_split_power_on_the_killed_P():
     # the Fedder cell (5, 11): the coefficient of t in f^10, read off the
     # half power h = f^5 as in fedder_check, must equal the one read off
     # f^4 * f^6, powers formed by chains of other lengths
-    n, p = 5, 11
-    survivors = [var(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n]
-    f = _killed_P(n).with_context(VarContext(survivors)).with_domain(GF(p))
-    t = (p - 1,) * len(survivors)
+    p = 11
+    f, cells = killed(5, p)
+    t = (p - 1,) * len(cells)
     h = f.pow_capped(5, cap=p)
     assert h.mul_coefficient(h, t) == 1
     assert f.pow_capped(4, cap=p).mul_coefficient(f.pow_capped(6, cap=p), t) == 1
+
+
+# x_1_1, x_1_2, x_2_1 as (i, j): -(i^2 + j^2) does not single out one top term
+SQUARES = [-(i * i + j * j) for i, j in ((1, 1), (1, 2), (2, 1))]
+
+
+def test_weight_changes_no_verdict_on_homogeneous_cubics():
+    # degree 3 in 3 variables, so every p > 2 takes the pruned half-power route
+    rng = random.Random(3004)
+    cubics = [(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)]
+    for _ in range(60):
+        f = MvPolynomial(CTX, ZZ, {m: rng.randint(-3, 3) for m in rng.sample(cubics, rng.randint(1, 4))})
+        if not f:
+            continue
+        for p in (3, 5, 7, 11, 13):
+            plain = fedder_check(f, p)
+            for weight in ([rng.randint(-5, 5) for _ in range(3)], [0, 0, 0], SQUARES):
+                assert fedder_check(f, p, weight=weight) == plain, (f, p, weight)
+
+
+def test_fermat_cubic_is_fpure_iff_p_is_1_mod_3_under_every_weight():
+    f = P("x_1_1^3 + x_1_2^3 + x_2_1^3")
+    for p in (5, 7, 11, 13, 17, 19):
+        for weight in (None, [3, -1, 2], [0, 0, 0], SQUARES):
+            v = fedder_check(f, p, weight=weight)
+            assert v.fpure == (p % 3 == 1), (p, weight)
+            assert v.witness == ((p - 1,) * 3 if p % 3 == 1 else None)
+
+
+def test_weight_changes_no_verdict_on_the_killed_P():
+    rng = random.Random(3005)
+    w = WINDOWS["fedder"]
+    for n in range(w.lo, w.hi + 1):
+        for p in w.primes + (11,):
+            f, cells = killed(n, p)
+            plain = fedder_check(f, p)
+            for weight in ([rng.randint(-9, 9) for _ in cells], [0] * len(cells), [-(i * i + j * j) for i, j in cells]):
+                assert fedder_check(f, p, weight=weight) == plain, (n, p, weight)
+
+
+def test_pruned_check_fpure_agrees_with_the_unweighted_check():
+    w = WINDOWS["fedder"]
+    window = [(n, p) for n in range(w.lo, w.hi + 1) for p in w.primes if (n, p) not in w.skipped]
+    for n, p in window + [(6, 2), (6, 3), (6, 5)]:
+        assert check_fpure(n, p, force=True) == fedder_check(killed(n, p)[0], p), (n, p)
+
+
+def test_check_fpure_6_7():
+    # out of the window: without the weight this cell forms 142 million term pairs
+    v = check_fpure(6, 7, force=True)
+    assert v.fpure
+    assert v.witness == (6,) * 15
+
+
+def test_a_weight_must_match_the_variables():
+    with pytest.raises(ContextError):
+        fedder_check(P("x_1_1*x_1_2*x_2_1"), 5, weight=[1, 2])

@@ -164,13 +164,18 @@ def test_spans_agrees_with_unit_determinant_on_square_sets():
 
 
 def test_lattice_membership():
-    lat = ZLattice(3)
-    lat.add((2, 0, 0))
-    lat.add((0, 1, 1))
-    assert lat.contains((2, 1, 1))
-    assert lat.contains((4, 3, 3))
-    assert not lat.contains((1, 0, 0))
-    assert not lat.contains((0, 1, 0))
+    # add() grows the lattice exactly when the vector is not a member yet
+    def lattice():
+        lat = ZLattice(3)
+        lat.add((2, 0, 0))
+        lat.add((0, 1, 1))
+        return lat
+
+    lat = lattice()
+    assert not lat.add((2, 1, 1))
+    assert not lat.add((4, 3, 3))
+    assert lattice().add((1, 0, 0))
+    assert lattice().add((0, 1, 0))
 
 
 def test_lattice_add_reports_growth():
@@ -193,7 +198,7 @@ def test_inverse_diagonal_lies_in_power_diagonal_lattice():
         lat = ZLattice(n)
         for e in range(n):
             lat.add(int_pow(A, e).diagonal())
-        assert lat.contains(unimodular_inverse(A).diagonal())
+        assert not lat.add(unimodular_inverse(A).diagonal())
 
 
 def test_power_diagonal_check_identity_matrix():

@@ -2,6 +2,7 @@
 substitution, and the canonical-form contracts."""
 
 import json
+import math
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from diagvar.polyring import (
     Domain,
     MvPolynomial,
     VarContext,
+    _is_prime,
     format_poly,
     parse_poly,
     poly_from_json,
@@ -37,6 +39,17 @@ def test_domain_prime_validation():
     for bad in (0, 1, 4, 9, 15, 2**31):
         with pytest.raises(DomainError):
             GF(bad)
+
+
+def test_is_prime_matches_a_sieve():
+    limit = 10**5
+    sieve = [False, False] + [True] * (limit - 2)
+    for d in range(2, math.isqrt(limit) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = [False] * len(range(d * d, limit, d))
+    assert [_is_prime(p) for p in range(limit)] == sieve
+    assert _is_prime(2**31 - 1)
+    assert not _is_prime(46337**2)  # 2147117569, the square of a prime
 
 
 def test_domain_equality():
@@ -194,6 +207,11 @@ def test_scalar_multiplication():
     assert P("x_1_1") * -1 == P("-x_1_1")
 
 
+def test_int_minus_polynomial():
+    assert 1 - P("x_1_1") == P("1 - x_1_1")
+    assert 2 - P("x_1_1 + 2", dom=GF(3)) == P("2*x_1_1", dom=GF(3))
+
+
 def test_ring_axioms_randomized():
     rng = random.Random(1002)
     ctx = VarContext.matrix(2)  # 4 variables
@@ -261,6 +279,26 @@ def test_pow_capped_rejects_bad_arguments():
         f.pow_capped(-1)
     with pytest.raises(ValueError):
         f.pow_capped(2, cap=0)
+    with pytest.raises(ValueError):
+        f.pow_capped(2, weight=[1, 0, 0, 0])
+    with pytest.raises(ValueError):
+        f.pow_capped(2, floor=0)
+    with pytest.raises(ContextError):
+        f.pow_capped(2, weight=[1], floor=0)
+
+
+def test_floored_power_keeps_every_contribution():
+    # with weight 1 on x_1_1 and floor 1, x_1_1*x_1_2 is kept; one of its
+    # two contributions passes through x_1_2, of weight 0 after one product
+    f = P("x_1_1 + x_1_2")
+    weight = [1, 0, 0, 0]
+    assert f.pow_capped(2, weight=weight, floor=1) == P("x_1_1^2 + 2*x_1_1*x_1_2")
+    assert f.pow_capped(2, cap=2, weight=weight, floor=1) == P("2*x_1_1*x_1_2")
+    # x_1_1^300 is packed in 16-bit fields, where its high byte weighs 256
+    g = P("x_1_1^150 + x_1_2")
+    assert g.pow_capped(2, weight=weight, floor=150) == P("x_1_1^300 + 2*x_1_1^150*x_1_2")
+    assert f.pow_capped(0, weight=weight, floor=1) == MvPolynomial.zero(CTX2, ZZ)
+    assert f.pow_capped(0, weight=weight, floor=0) == MvPolynomial.one(CTX2, ZZ)
 
 
 def test_large_exponents_widen_the_field():

@@ -66,6 +66,28 @@ def test_pow_capped_matches_power_then_delete(offset, k, data):
     assert f.pow_capped(k, cap=cap) == pow_then_delete(f, k, cap)
 
 
+def weigh(weight, m):
+    return sum(a * b for a, b in zip(weight, m))
+
+
+@PROPERTY
+@given(st.sampled_from([ZZ, GF(7)]), st.sampled_from([0, 62, 126, 16382]), st.integers(0, 3), st.data())
+def test_pow_capped_with_a_floor_keeps_the_power_above_it(dom, offset, k, data):
+    # the floored power is the capped power restricted, by tuple arithmetic,
+    # to the terms of weight >= floor; weights of every sign, and floors
+    # drawn at and beside the weights the power's terms reach
+    exps = st.one_of(st.integers(0, 2), st.integers(offset, offset + 3))
+    f = data.draw(polys(dom, st.integers(-30, 30), monomials=st.tuples(exps, exps, exps), max_terms=4))
+    cap = data.draw(st.one_of(st.integers(1, 6), st.integers(max(1, k * offset - 3), k * (offset + 3) + 3)))
+    weight = data.draw(st.tuples(*[st.sampled_from((1, -2, 3, 0, -1, 2, -3))] * len(CTX)))
+    full = pow_then_delete(f, k, cap)
+    # the top weights first: hypothesis tries the first entries most
+    reached = sorted({weigh(weight, m) for m in full.terms}, reverse=True)
+    floor = data.draw(st.sampled_from(reached) if reached else st.integers(-20, 20)) + data.draw(st.integers(-1, 1))
+    kept = {m: c for m, c in full.terms.items() if weigh(weight, m) >= floor}
+    assert f.pow_capped(k, cap=cap, weight=weight, floor=floor) == MvPolynomial(CTX, dom, kept)
+
+
 SUBST_MONOMIALS = st.tuples(st.integers(0, 70), st.one_of(st.integers(0, 3), st.integers(64, 70)), st.integers(0, 2))
 
 
