@@ -268,6 +268,15 @@ def _killed_P(n: int) -> MvPolynomial:
     return compute_P(build_specialization(n, "kill_s").apply_to_matrix(X), force=True)
 
 
+@lru_cache(maxsize=None)
+def _killed_survivors(n: int) -> tuple:
+    """The killed P over Z in its survivors (i + j <= n), and the weight
+    -i*j of each survivor x_i_j."""
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n]
+    f = _killed_P(n).with_context(VarContext(var(i, j) for i, j in cells))
+    return f, tuple(-i * j for i, j in cells)
+
+
 def check_fpure(n: int, p: int, *, force: bool = False) -> FedderVerdict:
     """Specialize P by the anti-diagonal kill, reinterpret it over F_p in the
     surviving variables (i + j <= n), and run the Fedder membership test.
@@ -277,7 +286,5 @@ def check_fpure(n: int, p: int, *, force: bool = False) -> FedderVerdict:
     for n = 3..7), so the half power keeps few terms.  The weight changes
     only the speed of `fedder_check`, never its verdict or witness."""
     guard("fedder", n, force, p)
-    f = _killed_P(n)
-    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n]
-    g = f.with_context(VarContext(var(i, j) for i, j in cells)).with_domain(GF(p))
-    return fedder_check(g, p, weight=[-i * j for i, j in cells])
+    f, weight = _killed_survivors(n)
+    return fedder_check(f.with_domain(GF(p)), p, weight=weight)

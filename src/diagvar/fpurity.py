@@ -4,12 +4,11 @@ generated by the p-th powers of the variables."""
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import DomainError
-from .polyring import GF, MvPolynomial
+from .errors import ContextError, DomainError
+from .polyring import GF, MvPolynomial, _bound_masks, _key_weights
 
 __all__ = ["FedderVerdict", "fedder_check"]
 
@@ -50,26 +49,31 @@ def fedder_check(f: MvPolynomial, p: int, weight: Sequence[int] | None = None) -
     half power is therefore built only down to the floor w.t - k * mu:
     every m with its partner t - m in h lies above it, and both keep their
     exact coefficients (see `MvPolynomial.pow_capped`).  The p = 2 route
-    and the inhomogeneous route ignore the weight.
+    and the inhomogeneous route ignore the weight, but every route rejects
+    one whose length is not the variable count.
     """
-    if not f.terms:
+    if not f:
         raise ValueError("zero polynomial")
+    nvars = len(f.ctx)
+    if weight is not None and len(weight) != nvars:
+        raise ContextError("weight length does not match context arity")
     g0 = _as_modp(f, p)
-    nvars = len(g0.ctx)
-    if not g0.terms:
+    if not g0:
         return FedderVerdict(False, None, p, nvars)
     if p > 2 and g0.homogeneous_degree() == nvars:
         target = (p - 1,) * nvars
         k = (p - 1) // 2
         floor = None
         if weight is not None:
-            mu = max((sum(map(operator.mul, weight, m)) for m in g0.terms if max(m) < p), default=0)
+            add, flag = _bound_masks(target, g0._w)
+            below = [key for key in g0._t if not (key + add) & flag]
+            mu = max(_key_weights(below, weight, g0._w), default=0)
             floor = (p - 1) * sum(weight) - k * mu
         h = g0.pow_capped(k, cap=p, weight=weight, floor=floor)
         if h.mul_coefficient(h, target):
             return FedderVerdict(True, target, p, nvars)
         return FedderVerdict(False, None, p, nvars)
     g = g0.pow_capped(p - 1, cap=p)
-    if g.terms:
+    if g:
         return FedderVerdict(True, g.leading_monomial(), p, nvars)
     return FedderVerdict(False, None, p, nvars)

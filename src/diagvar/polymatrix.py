@@ -144,7 +144,8 @@ class PolyMatrix:
             ti = self.ctx.index("t")
             for row in self.rows:
                 for e in row:
-                    if any(m[ti] for m in e.terms):
+                    t_field = ((1 << e._w) - 1) << (e._w * ti)
+                    if any(key & t_field for key in e._t):
                         raise ContextError("t is reserved; entries must not use it")
             ctx_t = self.ctx
         else:

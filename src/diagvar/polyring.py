@@ -11,8 +11,8 @@ width.  A product then runs one of two loops, picked by its exponent bound
 alone: a product capped below its field's limit tests each key against the
 cap with a mask, and every other product runs a loop without that test.
 Total degrees are read off the packed keys' bytes.  Exponent tuples are
-built only at the API boundary: `terms`, `coefficient`, formatting, JSON
-and `with_context`.
+built only at the API boundary: `terms`, `coefficient`, formatting and
+JSON.  A change of context moves each key by a byte gather.
 
 Coefficients are Python ints, so integer arithmetic never overflows; mod-p
 coefficients are kept as canonical representatives in [0, p).
@@ -25,7 +25,7 @@ import operator
 import re
 from collections.abc import Iterable, Mapping, Sequence
 from functools import partial, reduce
-from itertools import repeat
+from itertools import count, repeat
 
 from .errors import ContextError, DomainError, PolyParseError, SchemaError
 
@@ -392,13 +392,11 @@ class MvPolynomial:
         return max(self.terms, key=lambda m: (sum(m), tuple(-e for e in reversed(m))))
 
     def variables_used(self) -> set:
-        """Names of variables appearing with a positive exponent."""
-        used = set()
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    used.add(self.ctx.names[i])
-        return used
+        """Names of variables appearing with a positive exponent: the nonzero
+        fields of the OR of all keys."""
+        used = reduce(operator.or_, self._t, 0)
+        field = (1 << self._w) - 1
+        return {name for i, name in enumerate(self.ctx.names) if used >> (self._w * i) & field}
 
     def _check_compat(self, other: "MvPolynomial"):
         if self.ctx != other.ctx:
@@ -576,25 +574,44 @@ class MvPolynomial:
 
     def with_context(self, new_ctx: VarContext) -> "MvPolynomial":
         """Reinterpret in another context, matching variables by name.
-        Fails if a variable actually used here is absent from the target."""
+        Fails if a variable actually used here is absent from the target.
+
+        Fields are whole bytes, so each key is moved by a byte gather: the
+        target's fields are read as runs of source bytes (a target variable
+        absent here reads a zero field padded after the source's), and the
+        joined bytes are the new key.  The width and exponent bound are
+        kept."""
         if new_ctx == self.ctx:
             return self
-        pos = [new_ctx._index.get(name) for name in self.ctx.names]
-        arity = len(new_ctx)
-        out = {}
-        for m, c in self.terms.items():
-            exps = [0] * arity
-            for i, e in enumerate(m):
-                if not e:
-                    continue
-                j = pos[i]
-                if j is None:
-                    raise ContextError(
-                        f"variable {self.ctx.names[i]!r} is not present in the target context"
-                    )
-                exps[j] = e
-            out[_pack(exps, self._w)] = c
-        return MvPolynomial._raw(new_ctx, self.dom, out, self._e, self._w)
+        w, arity = self._w, len(self.ctx)
+        step, field = w // 8, (1 << w) - 1
+        lost = 0
+        for i, name in enumerate(self.ctx.names):
+            if name not in new_ctx:
+                lost |= field << (w * i)
+        for key in self._t:
+            if key & lost:
+                low = key & lost & -(key & lost)
+                name = self.ctx.names[(low.bit_length() - 1) // w]
+                raise ContextError(f"variable {name!r} is not present in the target context")
+        fresh = count(arity)
+        src = [self.ctx._index[name] if name in self.ctx else next(fresh) for name in new_ctx.names]
+        if src == list(range(len(src))):
+            # the source's fields keep their places (the target appends
+            # variables or drops trailing unused ones): every key stays
+            return MvPolynomial._raw(new_ctx, self.dom, self._t, self._e, w)
+        size = step * next(fresh)
+        runs: list = []
+        for i in src:
+            if runs and runs[-1][1] == step * i:
+                runs[-1][1] += step
+            else:
+                runs.append([step * i, step * (i + 1)])
+        get = operator.itemgetter(*(slice(a, b) for a, b in runs))
+        gather = get if len(runs) == 1 else lambda b: b"".join(get(b))
+        keys = map(int.to_bytes, self._t, repeat(size), repeat("little"))
+        moved = map(int.from_bytes, map(gather, keys), repeat("little"))
+        return MvPolynomial._raw(new_ctx, self.dom, dict(zip(moved, self._t.values())), self._e, w)
 
     def with_domain(self, dom: Domain) -> "MvPolynomial":
         """Reinterpret the coefficients; only Z -> Z/p reduction is allowed."""

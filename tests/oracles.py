@@ -2,6 +2,7 @@
 
 from itertools import permutations
 
+from diagvar.errors import ContextError
 from diagvar.intlattice import IntMatrix
 from diagvar.polyring import GF, MvPolynomial
 
@@ -58,6 +59,21 @@ def tuple_substitute(f: MvPolynomial, i: int, g: MvPolynomial) -> MvPolynomial:
             term = tuple_product(term, g)
         acc = acc + term
     return acc
+
+
+def tuple_with_context(f: MvPolynomial, ctx) -> MvPolynomial:
+    """f rebuilt in ctx by variable name, one exponent tuple at a time."""
+    terms = {}
+    for m, c in f.terms.items():
+        exps = [0] * len(ctx)
+        for name, e in zip(f.ctx.names, m):
+            if not e:
+                continue
+            if name not in ctx:
+                raise ContextError(f"variable {name!r} is not present in the target context")
+            exps[ctx.index(name)] = e
+        terms[tuple(exps)] = c
+    return MvPolynomial(ctx, f.dom, terms)
 
 
 def delete_high_exponents(f: MvPolynomial, cap: int) -> MvPolynomial:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from diagvar.diagvariety import _killed_P, check_fpure, var
+from diagvar.diagvariety import _killed_P, _killed_survivors, check_fpure, var
 from diagvar.errors import ContextError, DomainError
 from diagvar.fpurity import fedder_check
 from diagvar.guards import WINDOWS
@@ -182,6 +182,23 @@ def test_check_fpure_6_7():
     assert v.witness == (6,) * 15
 
 
-def test_a_weight_must_match_the_variables():
-    with pytest.raises(ContextError):
-        fedder_check(P("x_1_1*x_1_2*x_2_1"), 5, weight=[1, 2])
+def test_the_fedder_path_reads_no_exponent_tuples(monkeypatch):
+    # the restriction to the survivors and the half-power route work on
+    # packed keys alone; an exponent tuple read anywhere on them fails here
+    def no_tuples(f):
+        raise AssertionError("exponent tuples read on the Fedder path")
+
+    monkeypatch.setattr(MvPolynomial, "terms", property(no_tuples))
+    f, weight = _killed_survivors.__wrapped__(5)
+    for p in (3, 5, 7, 11):
+        assert fedder_check(f, p, weight=weight) == check_fpure(5, p, force=True)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("text", ["x_1_1*x_1_2*x_2_1", "x_1_1 + x_1_2*x_2_1"], ids=["homogeneous", "inhomogeneous"])
+def test_a_weight_must_match_the_variables(text, p):
+    # the homogeneous cubic takes the half-power route at p = 3 and 5, the
+    # inhomogeneous f the full truncated power; p = 2 takes it for both
+    for weight in ([1, 2], [1, 2, 3, 4]):
+        with pytest.raises(ContextError):
+            fedder_check(P(text), p, weight=weight)

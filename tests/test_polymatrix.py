@@ -152,6 +152,24 @@ def test_char_poly_rejects_entries_using_t():
         A.char_poly()
 
 
+def test_t_and_used_variables_are_read_off_whole_fields_at_width_16():
+    # exponent 256 has a zero low byte, so a read of one byte per field
+    # would miss it; t is the last variable of ctx_t
+    ctx_t = VarContext.matrix(2, with_t=True)
+    f = MvPolynomial(ctx_t, ZZ, {(256, 0, 0, 0, 0): 1, (0, 0, 200, 0, 0): 3})
+    g = MvPolynomial(ctx_t, ZZ, {(0, 0, 0, 300, 256): 1})
+    assert f._w == g._w == 16
+    assert f.variables_used() == {"x_1_1", "x_2_1"}
+    assert g.variables_used() == {"x_2_2", "t"}
+    zero = MvPolynomial.zero(ctx_t, ZZ)
+    t = MvPolynomial.variable(ctx_t, ZZ, "t")
+    c = PolyMatrix([[f, zero], [zero, f]]).char_poly()
+    assert c == (t - f) * (t - f)
+    assert c.variables_used() == {"x_1_1", "x_2_1", "t"}
+    with pytest.raises(ContextError):
+        PolyMatrix([[f, zero], [zero, g]]).char_poly()
+
+
 def test_char_poly_guard():
     big = PolyMatrix.identity(CTX2, ZZ, 8)
     with pytest.raises(SizeGuardError):

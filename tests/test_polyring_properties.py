@@ -2,11 +2,13 @@
 of the packing limits (127/128 for 8-bit fields, 32767/32768 for 16-bit
 ones), so products re-pack their operands at a wider field width."""
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from diagvar.errors import ContextError
 from diagvar.polyring import GF, ZZ, MvPolynomial, VarContext
-from oracles import pow_then_delete, tuple_product, tuple_substitute
+from oracles import pow_then_delete, tuple_product, tuple_substitute, tuple_with_context
 
 CTX = VarContext(["a", "b", "c"])
 EXPONENTS = st.one_of(st.integers(0, 3), st.integers(124, 131), st.integers(16380, 16400))
@@ -161,3 +163,45 @@ def test_bounded_product_with_a_loose_bound_is_the_product(dom, data):
     slack = data.draw(st.tuples(*[st.integers(0, 3)] * len(CTX)))
     bound = tuple(max((m[i] for m in fg.terms), default=0) + slack[i] for i in range(len(CTX)))
     assert f._mul(g, bound) == fg
+
+
+# source and target contexts of with_context: the target reorders, appends
+# char_poly's t, drops unused variables, or keeps the kill_s survivors of
+# the 3-by-3 grid (i + j <= 3)
+GRID3 = VarContext.matrix(3)
+RESTRICTIONS = {
+    "reordered": (CTX, VarContext(["c", "a", "b"])),
+    "appended": (CTX, CTX.with_var("t")),
+    "dropped": (VarContext(["a", "b", "c", "d"]), VarContext(["d", "b"])),
+    "survivors": (GRID3, VarContext(["x_1_1", "x_1_2", "x_2_1"])),
+}
+
+
+@pytest.mark.parametrize("source, target", RESTRICTIONS.values(), ids=RESTRICTIONS)
+@PROPERTY
+@given(dom=st.sampled_from([ZZ, GF(7)]), data=st.data())
+def test_with_context_matches_the_tuple_oracle(source, target, dom, data):
+    kept = [st.just(0) if name not in target else DEGREE_EXPONENTS for name in source.names]
+    terms = data.draw(st.dictionaries(st.tuples(*kept), st.integers(-30, 30), max_size=4))
+    f = MvPolynomial(source, dom, terms)
+    g = f.with_context(target)
+    assert dict(g.terms) == dict(tuple_with_context(f, target).terms)
+    assert (g._w, g._e) == (f._w, f._e)
+    lost = [i for i, name in enumerate(source.names) if name not in target]
+    if lost:
+        # a term using a dropped variable: both name the same variable
+        m = list(data.draw(st.tuples(*[DEGREE_EXPONENTS] * len(source))))
+        m[data.draw(st.sampled_from(lost))] = data.draw(st.one_of(st.integers(1, 3), st.integers(127, 129), st.just(256)))
+        bad = MvPolynomial(source, dom, {**terms, tuple(m): 1})
+        with pytest.raises(ContextError) as packed:
+            bad.with_context(target)
+        with pytest.raises(ContextError) as oracle:
+            tuple_with_context(bad, target)
+        assert str(packed.value) == str(oracle.value)
+
+
+@PROPERTY
+@given(st.dictionaries(st.tuples(DEGREE_EXPONENTS, DEGREE_EXPONENTS, DEGREE_EXPONENTS), st.integers(1, 5), max_size=4))
+def test_variables_used_matches_tuple_reads(terms):
+    f = MvPolynomial(CTX, ZZ, terms)
+    assert f.variables_used() == {name for m in f.terms for name, e in zip(CTX.names, m) if e}

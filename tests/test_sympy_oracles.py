@@ -19,7 +19,7 @@ from diagvar.intlattice import (
     unimodular_inverse,
 )
 from diagvar.polyring import GF, VarContext
-from oracles import random_unimodular
+from oracles import random_unimodular, tuple_with_context
 
 
 def _sympy_X(n: int, cut: int | None = None):
@@ -95,7 +95,7 @@ def test_fedder_witness_coefficient_matches_sympy(n, p):
         assert verdict.witness == target
     X = generic_matrix(n)
     P = compute_P(build_specialization(n, "kill_s").apply_to_matrix(X))
-    g = P.with_context(VarContext(survivors)).with_domain(GF(p))
+    g = tuple_with_context(P, VarContext(survivors)).with_domain(GF(p))
     assert g.pow_capped(p - 1, cap=p).coefficient(target) == expected
     h = g.pow_capped((p - 1) // 2, cap=p)
     assert h.mul_coefficient(h, target) == expected

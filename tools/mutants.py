@@ -1,0 +1,166 @@
+"""Mutation harness: every check must be able to fail.
+
+Each mutant replaces one exact source snippet by a wrong variant in a
+temporary copy of the repository, then runs the tests expected to catch it
+with `python -m pytest -x`.  A mutant is caught when one of them fails.
+
+    python3 tools/mutants.py           # run every mutant
+    python3 tools/mutants.py NAME ...  # run the named mutants
+
+One line is printed per mutant, with the first failing test.  The exit
+status is 1 when a mutant survives or its snippet no longer occurs exactly
+once in its file (a refactor must update the table), and 2 when the named
+tests already fail on the unmutated copy.  Stdlib only; the temporary
+copies go under $TMPDIR.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    snippet: str  # must occur exactly once in the file
+    replacement: str
+    tests: tuple  # pytest node ids, one of which must fail
+
+
+MUTANTS = (
+    Mutant(
+        "with_context-lost-field-test-removed",
+        "src/diagvar/polyring.py",
+        "            if key & lost:\n",
+        "            if False:\n",
+        (
+            "tests/test_polyring.py::test_with_context_rejects_used_variable_loss",
+            "tests/test_polyring_properties.py::test_with_context_matches_the_tuple_oracle",
+        ),
+    ),
+    Mutant(
+        "with_context-gather-slots-swapped",
+        "src/diagvar/polyring.py",
+        "get = operator.itemgetter(*(slice(a, b) for a, b in runs))",
+        "get = operator.itemgetter(*(slice(a, b) for a, b in runs[1::-1] + runs[2:]))",
+        (
+            "tests/test_polyring.py::test_with_context_embeds_by_name",
+            "tests/test_polyring_properties.py::test_with_context_matches_the_tuple_oracle",
+        ),
+    ),
+    Mutant(
+        "fedder-mu-smallest-weight",
+        "src/diagvar/fpurity.py",
+        "mu = max(_key_weights(below, weight, g0._w), default=0)",
+        "mu = min(_key_weights(below, weight, g0._w), default=0)",
+        (
+            "tests/test_fpurity.py::test_pruned_check_fpure_agrees_with_the_unweighted_check",
+            "tests/test_fpurity.py::test_weight_changes_no_verdict_on_the_killed_P",
+        ),
+    ),
+    Mutant(
+        "det-sign-flipped",
+        "src/diagvar/polymatrix.py",
+        "sign = -1 if (i + (mask & (bit - 1)).bit_count()) % 2 else 1",
+        "sign = 1 if (i + (mask & (bit - 1)).bit_count()) % 2 else -1",
+        (
+            "tests/test_polymatrix.py::test_det_two_by_two_diag_columns",
+            "tests/test_polymatrix.py::test_det_matches_permutation_expansion",
+        ),
+    ),
+    Mutant(
+        "capped-mask-off-by-one",
+        "src/diagvar/polyring.py",
+        "add |= (top - 1 - b) << (w * i)",
+        "add |= (top - b) << (w * i)",
+        (
+            "tests/test_polyring.py::test_pow_capped_matches_delete_after_power_randomized",
+            "tests/test_polyring_properties.py::test_pow_capped_matches_power_then_delete",
+        ),
+    ),
+    Mutant(
+        "int-det-no-sign-flip-on-row-swap",
+        "src/diagvar/intlattice.py",
+        "                    sign = -sign\n",
+        "                    sign = +sign\n",
+        (
+            "tests/test_intlattice.py::test_det_matches_permutation_expansion",
+            "tests/test_intlattice.py::test_spans_agrees_with_unit_determinant_on_square_sets",
+        ),
+    ),
+)
+
+
+def mutated(text: str, m: Mutant) -> str:
+    """text with m's snippet replaced; ValueError unless it occurs exactly once."""
+    hits = text.count(m.snippet)
+    if hits != 1:
+        raise ValueError(f"{m.name}: snippet occurs {hits} times in {m.path}")
+    return text.replace(m.snippet, m.replacement)
+
+
+def _copy(dest: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in COPIED:
+        src = ROOT / name
+        if src.is_dir():
+            shutil.copytree(src, dest / name, ignore=skip)
+        else:
+            shutil.copy2(src, dest / name)
+
+
+def _pytest(cwd: Path, tests) -> tuple[int, str]:
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider", *tests]
+    run = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True)
+    failed = [line.split(" - ")[0][len("FAILED ") :] for line in run.stdout.splitlines() if line.startswith("FAILED ")]
+    return run.returncode, failed[0] if failed else ""
+
+
+def run(mutants) -> int:
+    status = 0
+    with tempfile.TemporaryDirectory(prefix="diagvar-mutants-") as tmp:
+        clean = Path(tmp) / "clean"
+        _copy(clean)
+        tests = sorted({t for m in mutants for t in m.tests})
+        code, _ = _pytest(clean, tests)
+        if code:
+            print(f"the named tests fail without a mutant (pytest exit {code})")
+            return 2
+        for m in mutants:
+            work = Path(tmp) / m.name
+            _copy(work)
+            target = work / m.path
+            try:
+                target.write_text(mutated(target.read_text(), m))
+            except ValueError as err:
+                print(f"STALE     {err}")
+                status = 1
+                continue
+            code, failed = _pytest(work, m.tests)
+            if code == 1:
+                print(f"caught    {m.name}: {failed}")
+            else:
+                print(f"SURVIVED  {m.name} (pytest exit {code})")
+                status = 1
+            shutil.rmtree(work)
+    return status
+
+
+def main(argv) -> int:
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}")
+        return 2
+    return run([m for m in MUTANTS if not argv or m.name in argv])
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
