@@ -122,11 +122,16 @@ def generic_matrix(n: int, dom: Domain = ZZ) -> PolyMatrix:
     )
 
 
+def _specialized_guard(n: int, force: bool) -> None:
+    # the budget of D(M) and of P(M) for any matrix, specialized or not
+    if n > SPECIALIZED_GUARD and not force:
+        raise SizeGuardError(f"diag_matrix guard: n <= {SPECIALIZED_GUARD}, got {n}")
+
+
 def diag_matrix(M: PolyMatrix, *, force: bool = False) -> PolyMatrix:
     """D(M): entry (i, j) is the i-th diagonal entry of M^(j-1)."""
     n = M.n
-    if n > SPECIALIZED_GUARD and not force:
-        raise SizeGuardError(f"diag_matrix guard: n <= {SPECIALIZED_GUARD}, got {n}")
+    _specialized_guard(n, force)
     cols = []
     power = PolyMatrix.identity(M.ctx, M.dom, n)
     cols.append(list(power.diagonal()))
@@ -146,13 +151,52 @@ def _distinct_vars(M: PolyMatrix) -> int:
 
 def compute_P(M: PolyMatrix, *, force: bool = False) -> MvPolynomial:
     """P(M) = det(D(M)), exactly.  Fully generic matrices are held to the
-    pofx window; specialized (sparser) ones to diag_matrix's budget."""
-    if not force and _distinct_vars(M) >= M.n * M.n:
-        guard("pofx", M.n)
-    D = diag_matrix(M, force=force)
-    # the transpose has rows of increasing degree, which keeps the subset
-    # dynamic program's heavy products at the last level only
-    return D.transpose().det(force=force)
+    pofx window; every matrix to n <= SPECIALIZED_GUARD, the budget
+    diag_matrix shares.
+
+    The determinant expanded is that of C(M), not of D(M): C(M)[r][k] is
+    the t^(n-1-r) coefficient of det(t*I - M_k), where M_k is M with row
+    and column k deleted, that is (-1)^r times the sum of the r-by-r
+    principal minors of M_k; row 0 is all ones.  det C(M) = det D(M) over
+    every commutative ring.  Proof: by Cramer's rule,
+
+        sum_r t^r (M^r)_kk = det(I - t*M_k) / det(I - t*M),
+
+    and det(I - t*M_k) = sum_r t^r C(M)[r][k].  So D(M)^T = T * C(M), where
+    T is the lower-triangular Toeplitz matrix of the power series
+    1 / det(I - t*M) truncated at t^(n-1).  Its diagonal is the constant
+    term 1, so det T = 1.  C(M) is built division-free from n
+    characteristic polynomials of size n - 1, and its rows, like those of
+    D(M)^T, have increasing degree; its last row holds determinants of
+    size n - 1 instead of diagonals of M^(n-1), so the subset dynamic
+    program pairs far fewer terms."""
+    n = M.n
+    if not force and _distinct_vars(M) >= n * n:
+        guard("pofx", n)
+    _specialized_guard(n, force)
+    ctx, dom = M.ctx, M.dom
+    if n == 1:
+        return MvPolynomial.one(ctx, dom)
+    # a variable no entry can use: t unless the context already has one
+    name = "t"
+    while name in ctx:
+        name = "_" + name
+    emax = max(f._e for row in M.rows for f in row)
+    C = [[None] * n for _ in range(n)]
+    for k in range(n):
+        keep = [i for i in range(n) if i != k]
+        cp = PolyMatrix([[M.rows[i][j] for j in keep] for i in keep])._char_poly(name, force)
+        # the appended variable is the top field, so a key's t-degree is
+        # its bits above the context's fields
+        shift = cp._w * len(ctx)
+        low = (1 << shift) - 1
+        by_degree: dict = {}
+        for key, c in cp._t.items():
+            by_degree.setdefault(key >> shift, {})[key & low] = c
+        for r in range(n):
+            # a t^(n-1-r) coefficient is a sum of products of r entries
+            C[r][k] = MvPolynomial._raw(ctx, dom, by_degree.get(n - 1 - r, {}), min(cp._e, r * emax), cp._w)
+    return PolyMatrix(C).det(force=force)
 
 
 def _leading_block(X: PolyMatrix, m: int) -> PolyMatrix:

@@ -5,8 +5,8 @@ window of n.  This table is the one place that window is written.  The
 check functions refuse sizes outside it unless forced, `diagvar suite` runs
 every cell inside it, and `diagvar <cmd> --help` prints it.  Budgets that
 limit one layer on any input (the polynomial determinant and characteristic
-polynomial, `diag_matrix`, `int_det`, `power_diagonal_check`) stay with the
-function they limit.
+polynomial, `diag_matrix` and `compute_P`, `int_det`,
+`power_diagonal_check`) stay with the function they limit.
 """
 
 from __future__ import annotations

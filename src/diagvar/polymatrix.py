@@ -137,9 +137,6 @@ class PolyMatrix:
     def char_poly(self, *, force: bool = False) -> MvPolynomial:
         """Monic characteristic polynomial det(t*I - A).  The reserved
         variable t is appended to the context when absent."""
-        n = self.n
-        if n > CHAR_POLY_GUARD and not force:
-            raise SizeGuardError(f"char_poly guard: n <= {CHAR_POLY_GUARD}, got {n}")
         if "t" in self.ctx:
             ti = self.ctx.index("t")
             for row in self.rows:
@@ -147,10 +144,16 @@ class PolyMatrix:
                     t_field = ((1 << e._w) - 1) << (e._w * ti)
                     if any(key & t_field for key in e._t):
                         raise ContextError("t is reserved; entries must not use it")
-            ctx_t = self.ctx
-        else:
-            ctx_t = self.ctx.with_var("t")
-        t = MvPolynomial.variable(ctx_t, self.dom, "t")
+        return self._char_poly("t", force)
+
+    def _char_poly(self, name: str, force: bool) -> MvPolynomial:
+        """det(name*I - A), with the variable name appended to the context
+        when absent.  The caller ensures that no entry uses it."""
+        n = self.n
+        if n > CHAR_POLY_GUARD and not force:
+            raise SizeGuardError(f"char_poly guard: n <= {CHAR_POLY_GUARD}, got {n}")
+        ctx_t = self.ctx if name in self.ctx else self.ctx.with_var(name)
+        t = MvPolynomial.variable(ctx_t, self.dom, name)
         out = []
         for i in range(n):
             orow = []

@@ -257,6 +257,18 @@ def test_load_poly_matrix_file(tmp_path, capsys):
     assert out.strip()
 
 
+def test_pofx_matrix_whose_entries_use_t(tmp_path, capsys):
+    # t is a variable of the loaded context, not one reserved for P's
+    # characteristic polynomials
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "entries": [["t", "1"], ["0", "x_2_2*t"]]}))
+    code, out, err = run(capsys, "pofx", "--matrix", str(path))
+    assert (code, out, err) == (0, "x_2_2*t - t\n", "")
+    code, out, _ = run(capsys, "pofx", "--matrix", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)[0]["detail"] == {"poly": "x_2_2*t - t", "terms": 2}
+
+
 @pytest.mark.parametrize(
     "argv, matrix",
     [

@@ -19,9 +19,9 @@ from diagvar.diagvariety import (
     verify_peeling_identity,
 )
 from diagvar.errors import SizeGuardError
-from diagvar.polymatrix import PolyMatrix
+from diagvar.polymatrix import PolyMatrix, polymatrix_from_json
 from diagvar.polyring import GF, ZZ, MvPolynomial, VarContext, parse_poly
-from oracles import frobenius_power_bruteforce, perm_det_poly
+from oracles import frobenius_power_bruteforce, perm_det_poly, random_poly
 
 CTX3 = VarContext.matrix(3)
 
@@ -196,6 +196,49 @@ def test_p_generic_guard():
         compute_P(generic_matrix(6))
     # a silly forced 1x1 call goes through the force path
     assert compute_P(generic_matrix(1), force=True) == 1
+
+
+def test_p_guard_on_a_specialized_n8_matrix_comes_before_any_work(monkeypatch):
+    # the char polys of size 7 and the n = 8 determinant are each within
+    # their own budgets, so only compute_P's own guard can refuse this
+    M = specialized(8, "kill_s")
+
+    def no_work(*args):
+        raise AssertionError("a determinant was started")
+
+    monkeypatch.setattr(PolyMatrix, "_det", no_work)
+    with pytest.raises(SizeGuardError, match="n <= 7, got 8"):
+        compute_P(M)
+
+
+def test_p_generic_n5_matches_the_determinant_of_d():
+    # the top of the pofx window, past what the sympy oracle reaches
+    X = generic_matrix(5)
+    P = compute_P(X)
+    assert len(P.terms) == 89520
+    assert P == diag_matrix(X).transpose().det()
+
+
+@pytest.mark.parametrize("dom", [ZZ, GF(2), GF(3)], ids=repr)
+def test_p_matches_the_permutation_expansion_of_d_on_random_entries(dom):
+    # the context holds t and _t, so compute_P must pick a third name for
+    # its characteristic polynomials
+    ctx = VarContext(["t", "_t", "x_1_1"])
+    rng = random.Random(2031 + (dom.p or 0))
+    for n in (1, 2, 3, 4):
+        for _ in range(4):
+            M = PolyMatrix([[random_poly(rng, ctx, dom, max_terms=3) for _ in range(n)] for _ in range(n)])
+            assert compute_P(M) == perm_det_poly(diag_matrix(M).rows, ctx, dom), (n, M.rows)
+
+
+def test_p_of_a_json_matrix_whose_entries_use_t():
+    M = polymatrix_from_json({"n": 2, "entries": [["t", "1"], ["0", "x_2_2*t"]]})
+    assert "t" in M.ctx
+    assert str(compute_P(M)) == "x_2_2*t - t"
+    M = polymatrix_from_json(
+        {"n": 3, "entries": [["t", "x_1_2", "1"], ["t^2", "x_2_2*t", "x_2_3"], ["x_3_1", "2", "t - x_3_3"]]}
+    )
+    assert compute_P(M) == perm_det_poly(diag_matrix(M).rows, M.ctx, M.dom)
 
 
 def test_specialize_then_build_commutes_with_build_then_substitute():

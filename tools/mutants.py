@@ -77,6 +77,27 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "compute_P-t-coefficient-off-by-one",
+        "src/diagvar/diagvariety.py",
+        "by_degree.get(n - 1 - r, {})",
+        "by_degree.get(n - r, {})",
+        (
+            "tests/test_diagvariety.py::test_p_generic_n2",
+            "tests/test_diagvariety.py::test_p_matches_the_permutation_expansion_of_d_on_random_entries",
+        ),
+    ),
+    Mutant(
+        "compute_P-row-0-not-ones",
+        "src/diagvar/diagvariety.py",
+        "by_degree.get(n - 1 - r, {})",
+        "(by_degree.get(n - 1 - r, {}) if r else {0: -1})",
+        (
+            "tests/test_diagvariety.py::test_p_generic_n2",
+            "tests/test_diagvariety.py::test_p_matches_the_permutation_expansion_of_d_on_random_entries",
+            "tests/test_diagvariety.py::test_p_generic_n5_matches_the_determinant_of_d",
+        ),
+    ),
+    Mutant(
         "capped-mask-off-by-one",
         "src/diagvar/polyring.py",
         "add |= (top - 1 - b) << (w * i)",
