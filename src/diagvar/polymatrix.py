@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import ContextError, DiagvarError, DomainError, SchemaError, SizeGuardError
 from .polyring import ZZ, Domain, MvPolynomial, VarContext, _tokens, parse_poly
-from .polyring import _bound_masks, _mul_into, _reduced, _width
+from .polyring import _bound_masks, _mul_into, _reduce_in_place, _width
 
 DET_GUARD = 8
 CHAR_POLY_GUARD = 7
@@ -92,7 +92,7 @@ class PolyMatrix:
                 acc: dict = {}
                 for k in range(n):
                     _mul_into(acc, A[i][k], B[k][j])
-                orow.append(MvPolynomial._raw(self.ctx, self.dom, _reduced(acc, p), e, w))
+                orow.append(MvPolynomial._raw(self.ctx, self.dom, _reduce_in_place(acc, p), e, w))
             out.append(orow)
         return PolyMatrix(out)
 
@@ -128,7 +128,7 @@ class PolyMatrix:
                         continue
                     sign = -1 if (i + (mask & (bit - 1)).bit_count()) % 2 else 1
                     _mul_into(nxt.setdefault(mask | bit, {}), row[j], minor, sign, masks)
-            level = {mask: r for mask, acc in nxt.items() if (r := _reduced(acc, p))}
+            level = {mask: acc for mask, acc in nxt.items() if _reduce_in_place(acc, p)}
         if bound is not None:
             e = min(e, max(bound, default=0))
         det = level.get((1 << n) - 1, {})

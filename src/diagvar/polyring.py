@@ -10,9 +10,10 @@ exponent bound would pass its operands' field re-packs them at the wider
 width.  A product then runs one of two loops, picked by its exponent bound
 alone: a product capped below its field's limit tests each key against the
 cap with a mask, and every other product runs a loop without that test.
-Total degrees are read off the packed keys' bytes.  Exponent tuples are
-built only at the API boundary: `terms`, `coefficient`, formatting and
-JSON.  A change of context moves each key by a byte gather.
+A total degree is its key modulo 2**w - 1 (past a bound, the key's byte
+sum).  Exponent tuples are built only at the API boundary: `terms`,
+`coefficient`, formatting and JSON.  A change of context moves each key
+by a byte gather.
 
 Coefficients are Python ints, so integer arithmetic never overflows; mod-p
 coefficients are kept as canonical representatives in [0, p).
@@ -189,19 +190,8 @@ def _mul_into(out: dict, ta: dict, tb: dict, sign: int = 1, masks=(0, 0)) -> Non
                 out[k] = ca * cb if v is None else v + ca * cb
 
 
-def _reduced(out: dict, p: int | None) -> dict:
-    if p is None:
-        return {k: v for k, v in out.items() if v}
-    red = {}
-    for k, v in out.items():
-        v %= p
-        if v:
-            red[k] = v
-    return red
-
-
-def _reduce_in_place(out: dict, p: int | None) -> None:
-    # for dicts the caller owns that cancel little: one pass, no copy
+def _reduce_in_place(out: dict, p: int | None) -> dict:
+    # out must be the caller's own dict: its zeros are deleted, not copied
     if p is None:
         zeros = [k for k, v in out.items() if not v]
     else:
@@ -214,6 +204,7 @@ def _reduce_in_place(out: dict, p: int | None) -> None:
                 zeros.append(k)
     for k in zeros:
         del out[k]
+    return out
 
 
 def _key_weights(keys, weight, w: int) -> list:
@@ -273,7 +264,7 @@ class MvPolynomial:
                 if any(e < 0 for e in m):
                     raise ValueError(f"negative exponent in monomial {m}")
                 clean[m] = clean.get(m, 0) + c
-        clean = _reduced(clean, dom.p)
+        _reduce_in_place(clean, dom.p)
         self._e = max((max(m, default=0) for m in clean), default=0)
         self._w = _width(self._e)
         self._t = {_pack(m, self._w): c for m, c in clean.items()}
@@ -359,10 +350,12 @@ class MvPolynomial:
         return self.dom.reduce(sum(c * b.get(target - k, 0) for k, c in self._at(w).items()))
 
     def _degrees(self):
-        """The total degree of each term, read off the packed keys.  Every
-        field is a whole number of bytes wide, so byte j of a field weighs
-        256**j, and a key's degree is the sum over j of 256**j times the
-        sum of byte j of all its fields: exact at every width."""
+        """The total degree of each term.  As 2**w = 1 mod 2**w - 1, it is
+        key % (2**w - 1) while arity * e < 2**w - 1; past that, the sum of
+        the key's bytes, byte j of a field weighing 256**j."""
+        m = (1 << self._w) - 1
+        if len(self.ctx) * self._e < m:
+            return map(operator.mod, self._t, repeat(m))
         step = self._w // 8
         size = step * len(self.ctx)
 
@@ -419,7 +412,7 @@ class MvPolynomial:
         out = dict(a)
         for k, c in b.items():
             out[k] = out.get(k, 0) + c
-        return MvPolynomial._raw(self.ctx, self.dom, _reduced(out, self.dom.p), max(self._e, other._e), w)
+        return MvPolynomial._raw(self.ctx, self.dom, _reduce_in_place(out, self.dom.p), max(self._e, other._e), w)
 
     __radd__ = __add__
 
@@ -473,7 +466,7 @@ class MvPolynomial:
         _mul_into(out, self._at(w), other._at(w), 1, _bound_masks(bound, w))
         if bound is not None:
             e = min(e, max(bound, default=0))
-        return MvPolynomial._raw(self.ctx, self.dom, _reduced(out, self.dom.p), e, w)
+        return MvPolynomial._raw(self.ctx, self.dom, _reduce_in_place(out, self.dom.p), e, w)
 
     def pow_capped(
         self, k: int, cap: int | None = None, weight: Sequence[int] | None = None, floor: int | None = None
@@ -568,7 +561,7 @@ class MvPolynomial:
                 _mul_into(acc, prev, gp)
             for k, v in acc.items():
                 out[k] = out.get(k, 0) + v
-        return MvPolynomial._raw(self.ctx, self.dom, _reduced(out, self.dom.p), e, w)
+        return MvPolynomial._raw(self.ctx, self.dom, _reduce_in_place(out, self.dom.p), e, w)
 
     # -- context and domain changes ---------------------------------------
 
@@ -623,7 +616,8 @@ class MvPolynomial:
             return self
         if self.dom.is_modp:
             raise DomainError("cannot convert coefficients out of a prime field")
-        terms = _reduced(self._t, dom.p)
+        # a copy: with_context shares key dicts between polynomials
+        terms = _reduce_in_place(dict(self._t), dom.p)
         return MvPolynomial._raw(self.ctx, dom, terms, self._e, self._w)
 
     # -- comparison and display -------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from diagvar.errors import ContextError, SchemaError, SizeGuardError
 from diagvar.intlattice import IntMatrix, int_pow
 from diagvar.polymatrix import PolyMatrix, polymatrix_from_json
-from diagvar.polyring import ZZ, MvPolynomial, VarContext, parse_poly
+from diagvar.polyring import GF, ZZ, MvPolynomial, VarContext, parse_poly
 from oracles import perm_det_poly, random_poly
 
 CTX2 = VarContext.matrix(2)
@@ -94,6 +94,13 @@ def test_det_repeated_row_is_zero():
         rows = list(A.rows)
         rows[2] = rows[0]
         assert not PolyMatrix(rows).det().terms
+
+
+def test_det_cancelling_mod_p_is_zero():
+    # 2*x * 4*x - x * x = 7*x^2, zero mod 7 but not over Z
+    rows = [["2*x_1_1", "x_1_1"], ["x_1_1", "4*x_1_1"]]
+    assert pmat(rows, CTX2, GF(7)).det() == MvPolynomial.zero(CTX2, GF(7))
+    assert pmat(rows, CTX2).det() == parse_poly("7*x_1_1^2", CTX2, ZZ)
 
 
 def test_det_is_multiplicative():

@@ -398,6 +398,7 @@ def test_with_domain_reduces_mod_p():
     f = P("6*x_1_1 + 5")
     g = f.with_domain(GF(3))
     assert g == P("2", dom=GF(3))
+    assert f == P("6*x_1_1 + 5")
     with pytest.raises(DomainError):
         g.with_domain(ZZ)
 

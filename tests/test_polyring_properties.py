@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diagvar.errors import ContextError
+from diagvar.polymatrix import PolyMatrix
 from diagvar.polyring import GF, ZZ, MvPolynomial, VarContext
 from oracles import pow_then_delete, tuple_product, tuple_substitute, tuple_with_context
 
@@ -54,6 +55,18 @@ def test_product_matches_tuple_oracle(dom, data):
 @example(MvPolynomial(CTX, GF(7), {(2, 0, 0): 1, (1, 1, 0): 1, (0, 2, 0): 3}), MvPolynomial(CTX, GF(7)), 2, 5)
 def test_modp_results_are_canonical(f, g, k, cap):
     for h in (f, f + g, f - g, f * g, -f, 3 * f, f.pow_capped(k, cap=cap)):
+        assert all(0 < c < 7 for c in h.terms.values())
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.data())
+def test_modp_matrix_results_are_canonical(n, data):
+    # products and minors accumulate unreduced coefficients in dicts of
+    # their own, and each must leave them reduced, with no zero stored
+    entry = polys(GF(7), st.integers(-30, 30), max_terms=3, monomials=st.tuples(*[st.integers(0, 2)] * 3))
+    square = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    A, B = PolyMatrix(data.draw(square)), PolyMatrix(data.draw(square))
+    for h in [A.det(), A.char_poly()] + [f for row in (A * B).rows for f in row]:
         assert all(0 < c < 7 for c in h.terms.values())
 
 
@@ -143,6 +156,10 @@ def degree_polys(draw):
 @given(degree_polys(), degree_polys())
 # fields of 8 bits, degree 381 > 255, and a mixed-degree polynomial
 @example(MvPolynomial(CTX, ZZ, {(127, 127, 127): 1}), MvPolynomial(CTX, ZZ, {(1, 0, 0): 1, (0, 2, 1): 1}))
+# degree 255 = 3 * 85 in 8-bit fields, where the key is 0 modulo 2**8 - 1
+@example(MvPolynomial(CTX, ZZ, {(85, 85, 85): 1}), MvPolynomial(CTX, ZZ, {(0, 0, 1): 1}))
+# 16-bit fields past the modular bound, whose high bytes weigh 256
+@example(MvPolynomial(CTX, ZZ, {(32767, 32767, 1): 1}), MvPolynomial(CTX, ZZ, {(0, 0, 1): 1}))
 def test_degrees_match_tuple_sums(f, g):
     # f * g is packed at a width chosen from a bound, which can be wider
     # than its exponents need

@@ -108,6 +108,44 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "degree-mod-bound-inclusive",
+        "src/diagvar/polyring.py",
+        "if len(self.ctx) * self._e < m:",
+        "if len(self.ctx) * self._e <= m:",
+        ("tests/test_polyring_properties.py::test_degrees_match_tuple_sums",),
+    ),
+    Mutant(
+        "degree-mod-fixed-8-bit-width",
+        "src/diagvar/polyring.py",
+        "map(operator.mod, self._t, repeat(m))",
+        "map(operator.mod, self._t, repeat(255))",
+        ("tests/test_polyring_properties.py::test_degrees_match_tuple_sums",),
+    ),
+    Mutant(
+        "degree-fallback-byte-weights-dropped",
+        "src/diagvar/polyring.py",
+        "repeat(1 << (8 * j))",
+        "repeat(1)",
+        ("tests/test_polyring_properties.py::test_degrees_match_tuple_sums",),
+    ),
+    Mutant(
+        "det-level-not-reduced",
+        "src/diagvar/polymatrix.py",
+        "if _reduce_in_place(acc, p)}",
+        "if acc}",
+        (
+            "tests/test_polymatrix.py::test_det_cancelling_mod_p_is_zero",
+            "tests/test_polyring_properties.py::test_modp_matrix_results_are_canonical",
+        ),
+    ),
+    Mutant(
+        "with_domain-reduces-its-source",
+        "src/diagvar/polyring.py",
+        "_reduce_in_place(dict(self._t), dom.p)",
+        "_reduce_in_place(self._t, dom.p)",
+        ("tests/test_polyring.py::test_with_domain_reduces_mod_p",),
+    ),
+    Mutant(
         "int-det-no-sign-flip-on-row-swap",
         "src/diagvar/intlattice.py",
         "                    sign = -sign\n",
