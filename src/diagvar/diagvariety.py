@@ -15,6 +15,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import intlattice
 from .errors import NormalFormError, SizeGuardError
 from .fpurity import FedderVerdict, fedder_check
 from .guards import guard
@@ -149,34 +150,30 @@ def _distinct_vars(M: PolyMatrix) -> int:
     return len(used)
 
 
-def compute_P(M: PolyMatrix, *, force: bool = False) -> MvPolynomial:
-    """P(M) = det(D(M)), exactly.  Fully generic matrices are held to the
-    pofx window; every matrix to n <= SPECIALIZED_GUARD, the budget
-    diag_matrix shares.
+def _c_matrix(M: PolyMatrix, force: bool) -> PolyMatrix:
+    """C(M), a matrix with det C(M) = det D(M) = P(M), built from n
+    characteristic polynomials of size n - 1 instead of powers of M.
 
-    The determinant expanded is that of C(M), not of D(M): C(M)[r][k] is
-    the t^(n-1-r) coefficient of det(t*I - M_k), where M_k is M with row
-    and column k deleted, that is (-1)^r times the sum of the r-by-r
-    principal minors of M_k; row 0 is all ones.  det C(M) = det D(M) over
-    every commutative ring.  Proof: by Cramer's rule,
+    C(M)[r][k] is the t^(n-1-r) coefficient of det(t*I - M_k), where M_k is
+    M with row and column k deleted, that is (-1)^r times the sum of the
+    r-by-r principal minors of M_k; row 0 is all ones, and at n = 1 C(M) is
+    [[1]].  det C(M) = det D(M) over every commutative ring.  Proof: by
+    Cramer's rule,
 
         sum_r t^r (M^r)_kk = det(I - t*M_k) / det(I - t*M),
 
     and det(I - t*M_k) = sum_r t^r C(M)[r][k].  So D(M)^T = T * C(M), where
     T is the lower-triangular Toeplitz matrix of the power series
     1 / det(I - t*M) truncated at t^(n-1).  Its diagonal is the constant
-    term 1, so det T = 1.  C(M) is built division-free from n
-    characteristic polynomials of size n - 1, and its rows, like those of
-    D(M)^T, have increasing degree; its last row holds determinants of
-    size n - 1 instead of diagonals of M^(n-1), so the subset dynamic
-    program pairs far fewer terms."""
+    term 1, so det T = 1.  C(M) is built division-free, and its rows, like
+    those of D(M)^T, have increasing degree; its last row holds
+    determinants of size n - 1 instead of diagonals of M^(n-1), so the
+    subset dynamic program pairs far fewer terms."""
     n = M.n
-    if not force and _distinct_vars(M) >= n * n:
-        guard("pofx", n)
     _specialized_guard(n, force)
     ctx, dom = M.ctx, M.dom
     if n == 1:
-        return MvPolynomial.one(ctx, dom)
+        return PolyMatrix([[MvPolynomial.one(ctx, dom)]])
     # a variable no entry can use: t unless the context already has one
     name = "t"
     while name in ctx:
@@ -196,7 +193,16 @@ def compute_P(M: PolyMatrix, *, force: bool = False) -> MvPolynomial:
         for r in range(n):
             # a t^(n-1-r) coefficient is a sum of products of r entries
             C[r][k] = MvPolynomial._raw(ctx, dom, by_degree.get(n - 1 - r, {}), min(cp._e, r * emax), cp._w)
-    return PolyMatrix(C).det(force=force)
+    return PolyMatrix(C)
+
+
+def compute_P(M: PolyMatrix, *, force: bool = False) -> MvPolynomial:
+    """P(M) = det(D(M)), exactly, expanded as det C(M) (see `_c_matrix`).
+    Fully generic matrices are held to the pofx window; every matrix to
+    n <= SPECIALIZED_GUARD, the budget diag_matrix shares."""
+    if not force and _distinct_vars(M) >= M.n * M.n:
+        guard("pofx", M.n)
+    return _c_matrix(M, force).det(force=force)
 
 
 def _leading_block(X: PolyMatrix, m: int) -> PolyMatrix:
@@ -207,19 +213,18 @@ def verify_block_factorization(n: int, mode: str = "both", *, force: bool = Fals
     """With the last row and/or column of the generic matrix killed except
     for the corner, P factors through the leading block X0:
 
-        P(killed X) == P(X0) * charpoly(X0) evaluated at x_n_n
+        P(killed X) == P(X0) * det(x_n_n * I - X0)
 
-    True exactly when the identity holds."""
+    No entry of X0 uses x_n_n, so the corner factor, the characteristic
+    polynomial of X0 evaluated at x_n_n, is one characteristic polynomial
+    taken in x_n_n, already in X's context.  True exactly when the identity
+    holds."""
     guard("lemma2", n, force)
     X = generic_matrix(n)
     spec = build_specialization(n, "tilde", mode)
     lhs = compute_P(spec.apply_to_matrix(X), force=force)
     X0 = _leading_block(X, n - 1)
-    p0 = compute_P(X0, force=force)
-    c = X0.char_poly(force=force)
-    corner = MvPolynomial.variable(c.ctx, X.dom, var(n, n))
-    c_at_corner = c.substitute({"t": corner}).with_context(X.ctx)
-    return lhs == p0 * c_at_corner
+    return lhs == compute_P(X0, force=force) * X0._char_poly(var(n, n), force)
 
 
 def verify_peeling_identity(n: int, *, force: bool = False) -> bool:
@@ -264,18 +269,17 @@ def antidiag_unit_coeff(n: int, spec: str = "kill_s", *, force: bool = False) ->
     """Exact integer coefficient, in the specialized P, of the product of
     all entries strictly above the main anti-diagonal.
 
-    The determinant is computed modulo the monomial ideal of non-divisors of
-    the target (exponents only grow under multiplication, so this changes no
-    coefficient of a divisor of the target)."""
+    The determinant expanded is that of C of the specialized matrix, which
+    equals P (see `_c_matrix`), computed modulo the monomial ideal of
+    non-divisors of the target (exponents only grow under multiplication, so
+    this changes no coefficient of a divisor of the target)."""
     guard("antidiag", n, force)
     if spec not in ("kill_s", "kill_s0"):
         raise ValueError(f"spec must be 'kill_s' or 'kill_s0', got {spec!r}")
     X = generic_matrix(n)
     Xs = build_specialization(n, spec).apply_to_matrix(X)
     target = _above_antidiag_exps(n, X.ctx)
-    D = diag_matrix(Xs, force=force).transpose()
-    bounded = D._det(target, force)
-    return bounded.coefficient(target)
+    return _c_matrix(Xs, force)._det(target, force).coefficient(target)
 
 
 @dataclass(frozen=True)
@@ -287,22 +291,20 @@ class SopNormalForm:
 def sop_normal_form(n: int, *, force: bool = False) -> SopNormalForm:
     """Under the system-of-parameters specialization, P collapses to
     sign * x_1_1^(n(n-1)/2); returns the sign and exponent, and raises
-    NormalFormError if the collapse fails (a defect signal)."""
+    NormalFormError unless the sign is a unit (a defect signal).
+
+    The specialized matrix is x_1_1 * A, where A is the 0/1 matrix with ones
+    at i + j <= n.  Column j (0-based) of D(x_1_1 * A) is
+    x_1_1^j * diag(A^j), so scaling the columns gives
+    P(x_1_1 * A) = det D(A) * x_1_1^(0 + 1 + ... + (n-1)), exactly.  The
+    sign is therefore one integer determinant and the exponent is
+    n(n-1)/2."""
     guard("sop", n, force)
-    X = generic_matrix(n)
-    P = compute_P(build_specialization(n, "sop").apply_to_matrix(X), force=force)
-    if len(P.terms) != 1:
-        raise NormalFormError(f"expected a single term, got {len(P.terms)}")
-    ((m, c),) = P.terms.items()
-    i11 = X.ctx.index(var(1, 1))
-    if any(e and i != i11 for i, e in enumerate(m)):
-        raise NormalFormError("result is not a pure power of x_1_1")
+    A = intlattice.IntMatrix([[int(i + j <= n) for j in range(1, n + 1)] for i in range(1, n + 1)])
+    c = intlattice.int_det(intlattice.diag_of_powers_matrix(A, range(n)))
     if c not in (1, -1):
         raise NormalFormError(f"expected a unit coefficient, got {c}")
-    expected = n * (n - 1) // 2
-    if m[i11] != expected:
-        raise NormalFormError(f"exponent {m[i11]} differs from n(n-1)/2 = {expected}")
-    return SopNormalForm(sign=c, exponent=m[i11])
+    return SopNormalForm(sign=c, exponent=n * (n - 1) // 2)
 
 
 @lru_cache(maxsize=None)

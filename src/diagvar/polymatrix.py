@@ -53,11 +53,6 @@ class PolyMatrix:
         zero = MvPolynomial.zero(ctx, dom)
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(
-            [[self.rows[j][i] for j in range(self.n)] for i in range(self.n)]
-        )
-
     def map_entries(self, fn) -> "PolyMatrix":
         return PolyMatrix([[fn(e) for e in row] for row in self.rows])
 

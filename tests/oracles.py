@@ -2,6 +2,7 @@
 
 from itertools import permutations
 
+from diagvar.diagvariety import build_specialization, compute_P, generic_matrix
 from diagvar.errors import ContextError
 from diagvar.intlattice import IntMatrix
 from diagvar.polyring import GF, MvPolynomial
@@ -38,6 +39,18 @@ def perm_det_int(rows) -> int:
             prod *= rows[i][j]
         total += prod
     return total
+
+
+def sop_by_polynomial_P(n: int) -> tuple:
+    """(sign, exponent) read off the single term of the polynomial P of the
+    sop-specialized n-by-n matrix, for n <= 7; AssertionError unless P is a
+    signed power of x_1_1."""
+    X = generic_matrix(n)
+    P = compute_P(build_specialization(n, "sop").apply_to_matrix(X))
+    ((m, c),) = P.terms.items()
+    i11 = X.ctx.index("x_1_1")
+    assert not any(e for i, e in enumerate(m) if i != i11), m
+    return c, m[i11]
 
 
 def tuple_product(f: MvPolynomial, g: MvPolynomial) -> MvPolynomial:

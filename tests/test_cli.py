@@ -211,6 +211,15 @@ def test_failing_check_exits_1(capsys, monkeypatch):
     assert "synthetic defect" in record["detail"]["error"]
 
 
+def test_sop_with_a_non_unit_determinant_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli.diagvariety.intlattice, "int_det", lambda A: 2)
+    code, out, _ = run(capsys, "sop", "--n", "3", "--format", "json")
+    assert code == 1
+    (record,) = json.loads(out)
+    assert record["pass"] is False
+    assert "got 2" in record["detail"]["error"]
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(

@@ -18,10 +18,12 @@ from diagvar.diagvariety import (
     verify_block_factorization,
     verify_peeling_identity,
 )
-from diagvar.errors import SizeGuardError
+from diagvar import diagvariety
+from diagvar.errors import NormalFormError, SizeGuardError
+from diagvar.intlattice import antidiagonal_ones, power_diagonal_check
 from diagvar.polymatrix import PolyMatrix, polymatrix_from_json
 from diagvar.polyring import GF, ZZ, MvPolynomial, VarContext, parse_poly
-from oracles import frobenius_power_bruteforce, perm_det_poly, random_poly
+from oracles import frobenius_power_bruteforce, perm_det_poly, random_poly, sop_by_polynomial_P
 
 CTX3 = VarContext.matrix(3)
 
@@ -216,7 +218,7 @@ def test_p_generic_n5_matches_the_determinant_of_d():
     X = generic_matrix(5)
     P = compute_P(X)
     assert len(P.terms) == 89520
-    assert P == diag_matrix(X).transpose().det()
+    assert P == diag_matrix(X).det()
 
 
 @pytest.mark.parametrize("dom", [ZZ, GF(2), GF(3)], ids=repr)
@@ -344,6 +346,17 @@ def test_antidiag_coeff_unbounded_route_n5():
         assert antidiag_unit_coeff(5, label) == compute_P(Xs).coefficient(target)
 
 
+def test_antidiag_coeff_agrees_between_the_two_kills():
+    # kill_s0 keeps the anti-diagonal itself, which the target never uses
+    for n in range(2, 7):
+        assert antidiag_unit_coeff(n, "kill_s") == antidiag_unit_coeff(n, "kill_s0"), n
+
+
+def test_antidiag_coeff_forced_n1_is_the_empty_product():
+    assert antidiag_unit_coeff(1, force=True) == 1
+    assert antidiag_unit_coeff(1, "kill_s0", force=True) == 1
+
+
 def test_antidiag_coeff_guard_and_arguments():
     with pytest.raises(SizeGuardError):
         antidiag_unit_coeff(7)
@@ -361,15 +374,37 @@ def test_sop_normal_form_displayed_values():
 
 
 def test_sop_normal_form_larger_sizes_match_permutation_expansion():
-    for n in (5, 6):
-        X = generic_matrix(n)
-        Xs = build_specialization(n, "sop").apply_to_matrix(X)
-        full = perm_det_poly(diag_matrix(Xs).rows, X.ctx, X.dom)
-        nf = sop_normal_form(n)
-        exps = [0] * len(X.ctx)
-        exps[X.ctx.index("x_1_1")] = nf.exponent
-        assert full == MvPolynomial.monomial(X.ctx, ZZ, exps, nf.sign)
+    for n in range(2, 8):
+        nf = sop_normal_form(n, force=True)
+        assert (nf.sign, nf.exponent) == sop_by_polynomial_P(n), n
         assert nf.exponent == n * (n - 1) // 2
+        if n in (5, 6):
+            X = generic_matrix(n)
+            Xs = build_specialization(n, "sop").apply_to_matrix(X)
+            full = perm_det_poly(diag_matrix(Xs).rows, X.ctx, X.dom)
+            exps = [0] * len(X.ctx)
+            exps[X.ctx.index("x_1_1")] = nf.exponent
+            assert full == MvPolynomial.monomial(X.ctx, ZZ, exps, nf.sign)
+
+
+def test_sop_sign_is_the_peeled_lemma4_determinant():
+    # the sop matrix is x_1_1 times antidiagonal_ones(n - 1) bordered by
+    # zeros; peeling gives the sign (-1)^(n(n-1)/2) times its det_diag
+    for n in range(2, 17):
+        det_diag = power_diagonal_check(antidiagonal_ones(n - 1), force=True).det_diag
+        assert sop_normal_form(n, force=True).sign == (-1) ** (n * (n - 1) // 2) * det_diag, n
+
+
+def test_sop_normal_form_forced_n1():
+    assert sop_normal_form(1, force=True) == SopNormalForm(1, 0)
+
+
+@pytest.mark.parametrize("det", [2, 0])
+def test_sop_normal_form_rejects_a_non_unit_determinant(monkeypatch, det):
+    # patched on the module, as the benchmark's tracer wraps it
+    monkeypatch.setattr(diagvariety.intlattice, "int_det", lambda A: det)
+    with pytest.raises(NormalFormError, match=f"got {det}"):
+        sop_normal_form(3)
 
 
 def test_sop_intermediate_powers_n4():

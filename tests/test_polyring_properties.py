@@ -112,6 +112,11 @@ SUBST_MONOMIALS = st.tuples(st.integers(0, 70), st.one_of(st.integers(0, 3), st.
     polys(ZZ, monomials=SUBST_MONOMIALS, max_terms=3),
     polys(ZZ, monomials=st.tuples(st.integers(4, 6), st.integers(0, 2), st.integers(0, 1)), max_terms=2),
 )
+@example(
+    MvPolynomial(CTX, ZZ, {(0, 64, 0): 1}),
+    MvPolynomial.one(CTX, ZZ),
+    MvPolynomial(CTX, ZZ, {(4, 0, 0): 1}),
+)
 def test_substitute_is_ring_homomorphism(f, g, s):
     # under b -> s, b^64 maps to exponents of a of 256 and more, past the
     # 8-bit field that holds f, g and s

@@ -84,6 +84,7 @@ MUTANTS = (
         (
             "tests/test_diagvariety.py::test_p_generic_n2",
             "tests/test_diagvariety.py::test_p_matches_the_permutation_expansion_of_d_on_random_entries",
+            "tests/test_acceptance.py::test_criterion_4_antidiag_unit_coefficients",
         ),
     ),
     Mutant(
@@ -95,6 +96,36 @@ MUTANTS = (
             "tests/test_diagvariety.py::test_p_generic_n2",
             "tests/test_diagvariety.py::test_p_matches_the_permutation_expansion_of_d_on_random_entries",
             "tests/test_diagvariety.py::test_p_generic_n5_matches_the_determinant_of_d",
+        ),
+    ),
+    Mutant(
+        "lemma2-corner-at-the-block-diagonal",
+        "src/diagvar/diagvariety.py",
+        "X0._char_poly(var(n, n), force)",
+        "X0._char_poly(var(n - 1, n - 1), force)",
+        (
+            "tests/test_diagvariety.py::test_block_factorization_n2",
+            "tests/test_diagvariety.py::test_block_factorization_matches_independent_expansion_n3",
+        ),
+    ),
+    Mutant(
+        "sop-sign-dropped",
+        "src/diagvar/diagvariety.py",
+        "SopNormalForm(sign=c,",
+        "SopNormalForm(sign=abs(c),",
+        (
+            "tests/test_diagvariety.py::test_sop_normal_form_displayed_values",
+            "tests/test_diagvariety.py::test_sop_sign_is_the_peeled_lemma4_determinant",
+        ),
+    ),
+    Mutant(
+        "sop-exponent-d-minus-1",
+        "src/diagvar/diagvariety.py",
+        "exponent=n * (n - 1) // 2)",
+        "exponent=n * (n - 1) // 2 - 1)",
+        (
+            "tests/test_diagvariety.py::test_sop_normal_form_displayed_values",
+            "tests/test_diagvariety.py::test_sop_normal_form_larger_sizes_match_permutation_expansion",
         ),
     ),
     Mutant(
@@ -139,6 +170,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "substitute-bound-without-the-degree",
+        "src/diagvar/polyring.py",
+        "e = self.total_degree() * max(",
+        "e = max(",
+        ("tests/test_polyring_properties.py::test_substitute_is_ring_homomorphism",),
+    ),
+    Mutant(
         "with_domain-reduces-its-source",
         "src/diagvar/polyring.py",
         "_reduce_in_place(dict(self._t), dom.p)",
@@ -153,6 +191,36 @@ MUTANTS = (
         (
             "tests/test_intlattice.py::test_det_matches_permutation_expansion",
             "tests/test_intlattice.py::test_spans_agrees_with_unit_determinant_on_square_sets",
+        ),
+    ),
+    Mutant(
+        "int-det-divisor-not-updated",
+        "src/diagvar/intlattice.py",
+        "        prev = pivot\n",
+        "        prev = 1\n",
+        (
+            "tests/test_intlattice.py::test_det_matches_permutation_expansion",
+            "tests/test_intlattice.py::test_det_big_entries_stay_exact",
+        ),
+    ),
+    Mutant(
+        "inverse-read-without-d",
+        "src/diagvar/intlattice.py",
+        "[[d * x for x in row[n:]]",
+        "[[x for x in row[n:]]",
+        (
+            "tests/test_intlattice.py::test_inverse_of_ones_step_matrices",
+            "tests/test_intlattice.py::test_inverse_randomized_products",
+        ),
+    ),
+    Mutant(
+        "diag-of-powers-walk-off-by-one",
+        "src/diagvar/intlattice.py",
+        "while e < exponents[j]:",
+        "while e <= exponents[j]:",
+        (
+            "tests/test_intlattice.py::test_diag_of_powers_matrix_columns",
+            "tests/test_diagvariety.py::test_sop_normal_form_displayed_values",
         ),
     ),
 )
