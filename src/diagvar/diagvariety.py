@@ -12,8 +12,8 @@ system-of-parameters normal form, and F-purity of the killed hypersurface.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import intlattice
 from .errors import NormalFormError, SizeGuardError
@@ -60,7 +60,10 @@ class Specialization:
         return f.substitute(self.assignments)
 
     def apply_to_matrix(self, M: PolyMatrix) -> PolyMatrix:
-        return M.map_entries(self.apply)
+        """Each entry of M specialized.  The entries share one context and
+        domain, so the assignments are checked against M once."""
+        reps = M.rows[0][0]._replacements(self.assignments)
+        return M.map_entries(lambda f: f._substitute(reps))
 
     def __repr__(self):
         mode = f", mode={self.mode!r}" if self.mode else ""
@@ -126,7 +129,7 @@ def generic_matrix(n: int, dom: Domain = ZZ) -> PolyMatrix:
 def _specialized_guard(n: int, force: bool) -> None:
     # the budget of D(M) and of P(M) for any matrix, specialized or not
     if n > SPECIALIZED_GUARD and not force:
-        raise SizeGuardError(f"diag_matrix guard: n <= {SPECIALIZED_GUARD}, got {n}")
+        raise SizeGuardError(f"specialized guard (D(M) and P(M) of any matrix): n <= {SPECIALIZED_GUARD}, got {n}")
 
 
 def diag_matrix(M: PolyMatrix, *, force: bool = False) -> PolyMatrix:
@@ -282,8 +285,7 @@ def antidiag_unit_coeff(n: int, spec: str = "kill_s", *, force: bool = False) ->
     return _c_matrix(Xs, force)._det(target, force).coefficient(target)
 
 
-@dataclass(frozen=True)
-class SopNormalForm:
+class SopNormalForm(NamedTuple):
     sign: int
     exponent: int
 

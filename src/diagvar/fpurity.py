@@ -5,7 +5,7 @@ generated by the p-th powers of the variables."""
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ContextError, DomainError
 from .polyring import GF, MvPolynomial, _bound_masks, _key_weights
@@ -13,8 +13,7 @@ from .polyring import GF, MvPolynomial, _bound_masks, _key_weights
 __all__ = ["FedderVerdict", "fedder_check"]
 
 
-@dataclass(frozen=True)
-class FedderVerdict:
+class FedderVerdict(NamedTuple):
     """F-purity outcome.  A witness monomial (every exponent <= p-1, nonzero
     coefficient in the truncated power) is present exactly when fpure."""
 

@@ -4,8 +4,9 @@ closed-form checks for the anti-triangular ones matrix and its inverse."""
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, insort
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotUnimodularError, SchemaError, SizeGuardError
 from .guards import guard
@@ -68,10 +69,8 @@ class IntMatrix:
             return NotImplemented
         if self.n != other.n:
             raise ValueError("matrix sizes differ")
-        cols = other.transpose().rows
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows]
-        )
+        cols = list(zip(*other.rows))
+        return IntMatrix([[sum(map(operator.mul, row, col)) for col in cols] for row in self.rows])
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.rows]!r})"
@@ -259,8 +258,7 @@ def antidiagonal_ones(n: int) -> IntMatrix:
     )
 
 
-@dataclass(frozen=True)
-class PowerDiagonalReport:
+class PowerDiagonalReport(NamedTuple):
     """a: |det| of the power-diagonal matrix is 1; b: the diagonals of
     A^0..A^(n-1) span Z^n."""
 
@@ -285,8 +283,7 @@ def power_diagonal_check(A: IntMatrix, *, force: bool = False) -> PowerDiagonalR
     return PowerDiagonalReport(a=a, b=b, det_diag=det_diag)
 
 
-@dataclass(frozen=True)
-class BandReport:
+class BandReport(NamedTuple):
     """b2: the squared inverse matches the tridiagonal closed form; odd: the
     odd powers match the two-band formula; span: the odd-power diagonals
     span Z^n; p_of_a: det of the power-diagonal matrix of the ones family."""

@@ -12,8 +12,8 @@ alone: a product capped below its field's limit tests each key against the
 cap with a mask, and every other product runs a loop without that test.
 A total degree is its key modulo 2**w - 1 (past a bound, the key's byte
 sum).  Exponent tuples are built only at the API boundary: `terms`,
-`coefficient`, formatting and JSON.  A change of context moves each key
-by a byte gather.
+`coefficient` and JSON; formatting reads each key's bytes.  A change of
+context moves each key by a byte gather.
 
 Coefficients are Python ints, so integer arithmetic never overflows; mod-p
 coefficients are kept as canonical representatives in [0, p).
@@ -26,7 +26,7 @@ import operator
 import re
 from collections.abc import Iterable, Mapping, Sequence
 from functools import partial, reduce
-from itertools import count, repeat
+from itertools import compress, count, repeat
 
 from .errors import ContextError, DomainError, PolyParseError, SchemaError
 
@@ -351,17 +351,25 @@ class MvPolynomial:
 
     def _degrees(self):
         """The total degree of each term.  As 2**w = 1 mod 2**w - 1, it is
-        key % (2**w - 1) while arity * e < 2**w - 1; past that, the sum of
-        the key's bytes, byte j of a field weighing 256**j."""
+        key % (2**w - 1) whenever every degree is below 2**w - 1.  Two
+        bounds can show that: arity * e, and the degree of the OR of all
+        keys, as a field of the OR is at least the field's largest
+        exponent.  Past both, it is the sum of the key's bytes, byte j of a
+        field weighing 256**j."""
         m = (1 << self._w) - 1
-        if len(self.ctx) * self._e < m:
+        if len(self.ctx) * self._e < m or max(self._byte_sums([reduce(operator.or_, self._t, 0)])) < m:
             return map(operator.mod, self._t, repeat(m))
+        return self._byte_sums(self._t)
+
+    def _byte_sums(self, keys):
+        # the degrees of packed keys of this width; keys is iterated once
+        # per byte of a field
         step = self._w // 8
         size = step * len(self.ctx)
 
         def weighted_byte_sums(j: int):
-            keys = map(int.to_bytes, self._t, repeat(size), repeat("little"))
-            byte_j = map(operator.itemgetter(slice(j, None, step)), keys)
+            packed = map(int.to_bytes, keys, repeat(size), repeat("little"))
+            byte_j = map(operator.itemgetter(slice(j, None, step)), packed)
             return map(operator.mul, map(sum, byte_j), repeat(1 << (8 * j)))
 
         return reduce(partial(map, operator.add), map(weighted_byte_sums, range(step)))
@@ -528,8 +536,12 @@ class MvPolynomial:
     def substitute(self, assignments: Mapping[str, "MvPolynomial"]) -> "MvPolynomial":
         """Simultaneous substitution of variables by polynomials
         (a ring homomorphism on this context)."""
-        if not assignments:
-            return self
+        return self._substitute(self._replacements(assignments))
+
+    def _replacements(self, assignments: Mapping[str, "MvPolynomial"]) -> dict:
+        """The assignments keyed by variable index, each checked against this
+        polynomial's context and domain (an int becomes a constant).  Every
+        polynomial of the same context and domain can take the result."""
         reps = {}
         for name, g in assignments.items():
             i = self.ctx.index(name)
@@ -537,7 +549,14 @@ class MvPolynomial:
                 g = MvPolynomial.constant(self.ctx, self.dom, g)
             self._check_compat(g)
             reps[i] = g
-        if not self._t:
+        return reps
+
+    def _substitute(self, reps: dict) -> "MvPolynomial":
+        """The substitution of checked replacements (see `_replacements`).
+        A polynomial using no replaced variable comes back as it is."""
+        w = self._w
+        touched = reduce(operator.or_, (((1 << w) - 1) << (w * i) for i in reps), 0)
+        if not reduce(operator.or_, self._t, 0) & touched:
             return self
         # an exponent of the image is at most deg(self) * max(1, max e(g))
         e = self.total_degree() * max([1] + [g._e for g in reps.values()])
@@ -553,7 +572,7 @@ class MvPolynomial:
                     key -= x << (w * i)
                     gp = pow_cache.get((i, x))
                     if gp is None:
-                        gp = pow_cache[(i, x)] = g.pow_capped(x)._at(w)
+                        gp = pow_cache[(i, x)] = (g if x == 1 else g.pow_capped(x))._at(w)
                     parts.append(gp)
             acc = {key: c}
             for gp in parts:
@@ -640,37 +659,52 @@ class MvPolynomial:
 # -- canonical text form ----------------------------------------------------
 
 
-def _graded_lex(term) -> tuple:
-    m, _ = term
-    return sum(m), m
+class _Powers(dict):
+    """The rendered powers of one variable, name at 1 and name^e above,
+    each made on first use."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __missing__(self, e: int) -> str:
+        text = self[e] = self.name if e == 1 else f"{self.name}^{e}"
+        return text
 
 
 def format_poly(f: MvPolynomial) -> str:
     """Canonical string form: graded-lexicographic order, total degree
     descending, ties broken by the exponent tuples themselves.  Parsing the
-    result returns an equal polynomial."""
-    if not f.terms:
+    result returns an equal polynomial.
+
+    Each key is read once as a sequence of its exponents: at w = 8 its
+    little-endian bytes, which compare bytewise as the exponent tuple does;
+    wider, a tuple of one int per field.  A term's factors are picked from
+    the variables' power tables by its nonzero exponents."""
+    if not f._t:
         return "0"
-    names = f.ctx.names
+    step = f._w // 8
+    size = step * len(f.ctx)
+    exps = map(int.to_bytes, f._t, repeat(size), repeat("little"))
+    if step > 1:
+        fields = [slice(i, i + step) for i in range(0, size, step)]
+        exps = (tuple(map(int.from_bytes, map(b.__getitem__, fields), repeat("little"))) for b in exps)
+    tables = list(map(_Powers, f.ctx.names))
     bits = []
-    for m, c in sorted(f.terms.items(), key=_graded_lex, reverse=True):
-        factors = []
-        for name, e in zip(names, m):
-            if e == 1:
-                factors.append(name)
-            elif e:
-                factors.append(f"{name}^{e}")
-        neg = c < 0
-        mag = -c if neg else c
-        if factors:
-            body = "*".join(factors) if mag == 1 else str(mag) + "*" + "*".join(factors)
-        else:
-            body = str(mag)
-        if not bits:
-            bits.append("-" + body if neg else body)
-        else:
-            bits.append(("- " if neg else "+ ") + body)
-    return " ".join(bits)
+    for _, m, c in sorted(zip(f._degrees(), exps, f._t.values()), reverse=True):
+        body = "*".join(map(operator.getitem, compress(tables, m), compress(m, m)))
+        sign = "+ "
+        if c < 0:
+            sign, c = "- ", -c
+        if c != 1:
+            body = f"{c}*{body}" if body else str(c)
+        elif not body:
+            body = "1"
+        bits.append(sign + body)
+    text = " ".join(bits)
+    # the leading term's sign is written without its space, and + not at all
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 _TOKEN_RE = re.compile(r"(\d+)|(x_\d+_\d+|t)|([+\-*^])|(\S)")

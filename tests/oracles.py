@@ -89,6 +89,30 @@ def tuple_with_context(f: MvPolynomial, ctx) -> MvPolynomial:
     return MvPolynomial(ctx, f.dom, terms)
 
 
+def tuple_format_poly(f: MvPolynomial) -> str:
+    """The canonical text of f, built from exponent tuples: terms by total
+    degree descending, ties by the exponent tuples descending."""
+    bits = []
+    for m, c in sorted(f.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
+        factors = []
+        for name, e in zip(f.ctx.names, m):
+            if e == 1:
+                factors.append(name)
+            elif e:
+                factors.append(f"{name}^{e}")
+        neg = c < 0
+        mag = -c if neg else c
+        if factors:
+            body = "*".join(factors) if mag == 1 else str(mag) + "*" + "*".join(factors)
+        else:
+            body = str(mag)
+        if not bits:
+            bits.append("-" + body if neg else body)
+        else:
+            bits.append(("- " if neg else "+ ") + body)
+    return " ".join(bits) or "0"
+
+
 def delete_high_exponents(f: MvPolynomial, cap: int) -> MvPolynomial:
     """Drop every monomial holding an exponent >= cap."""
     kept = {m: c for m, c in f.terms.items() if max(m, default=0) < cap}

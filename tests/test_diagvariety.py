@@ -19,7 +19,7 @@ from diagvar.diagvariety import (
     verify_peeling_identity,
 )
 from diagvar import diagvariety
-from diagvar.errors import NormalFormError, SizeGuardError
+from diagvar.errors import ContextError, DomainError, NormalFormError, SizeGuardError
 from diagvar.intlattice import antidiagonal_ones, power_diagonal_check
 from diagvar.polymatrix import PolyMatrix, polymatrix_from_json
 from diagvar.polyring import GF, ZZ, MvPolynomial, VarContext, parse_poly
@@ -241,6 +241,45 @@ def test_p_of_a_json_matrix_whose_entries_use_t():
         {"n": 3, "entries": [["t", "x_1_2", "1"], ["t^2", "x_2_2*t", "x_2_3"], ["x_3_1", "2", "t - x_3_3"]]}
     )
     assert compute_P(M) == perm_det_poly(diag_matrix(M).rows, M.ctx, M.dom)
+
+
+def test_specialized_guard_names_the_shared_budget():
+    message = r"^specialized guard \(D\(M\) and P\(M\) of any matrix\): n <= 7, got 8$"
+    M = specialized(8, "kill_s")
+    with pytest.raises(SizeGuardError, match=message):
+        compute_P(M)
+    with pytest.raises(SizeGuardError, match=message):
+        diag_matrix(M)
+
+
+SPEC_LABELS = [("kill_s", None), ("kill_s0", None), ("sop", None)] + [("tilde", m) for m in diagvariety.TILDE_MODES]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_apply_to_matrix_is_substitute_entrywise(n):
+    X = generic_matrix(n)
+    for M in (X, X * X, (X * X).map_entries(lambda f: f.with_domain(GF(3)))):
+        for label, mode in SPEC_LABELS:
+            s = build_specialization(n, label, mode, M.dom)
+            assert s.apply_to_matrix(M) == M.map_entries(s.apply), (label, mode)
+
+
+def test_apply_to_matrix_returns_untouched_entries_as_they_are():
+    X = generic_matrix(4)
+    Xs = build_specialization(4, "kill_s").apply_to_matrix(X)
+    for i in range(4):
+        for j in range(4):
+            if i + j + 2 <= 4:
+                assert Xs.rows[i][j] is X.rows[i][j]
+            else:
+                assert not Xs.rows[i][j]
+
+
+def test_apply_to_matrix_checks_the_assignments_against_the_matrix():
+    with pytest.raises(ContextError):
+        build_specialization(3, "kill_s").apply_to_matrix(generic_matrix(4))
+    with pytest.raises(DomainError):
+        build_specialization(3, "kill_s", dom=GF(2)).apply_to_matrix(generic_matrix(3))
 
 
 def test_specialize_then_build_commutes_with_build_then_substitute():

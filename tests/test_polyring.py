@@ -365,6 +365,13 @@ def test_homogeneous_degree():
         P("0").homogeneous_degree()
 
 
+def test_degree_past_the_per_variable_bound():
+    # arity * e = 381 >= 255, and the OR of the keys has degree 255 too, so
+    # only the byte sums give the degree: key % 255 reads 0
+    f = MvPolynomial(VarContext(["a", "b", "c"]), ZZ, {(127, 127, 1): 1})
+    assert (f._w, f.total_degree(), f.homogeneous_degree()) == (8, 255, 255)
+
+
 def test_leading_monomial_grevlex():
     ctx = VarContext(["a_1_1", "a_1_2", "a_2_1"])
     # same degree: the monomial avoiding the last variable wins

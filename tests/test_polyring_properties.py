@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from diagvar.errors import ContextError
 from diagvar.polymatrix import PolyMatrix
-from diagvar.polyring import GF, ZZ, MvPolynomial, VarContext
-from oracles import pow_then_delete, tuple_product, tuple_substitute, tuple_with_context
+from diagvar.polyring import GF, ZZ, MvPolynomial, VarContext, format_poly
+from oracles import pow_then_delete, tuple_format_poly, tuple_product, tuple_substitute, tuple_with_context
 
 CTX = VarContext(["a", "b", "c"])
 EXPONENTS = st.one_of(st.integers(0, 3), st.integers(124, 131), st.integers(16380, 16400))
@@ -163,6 +163,9 @@ def degree_polys(draw):
 @example(MvPolynomial(CTX, ZZ, {(127, 127, 127): 1}), MvPolynomial(CTX, ZZ, {(1, 0, 0): 1, (0, 2, 1): 1}))
 # degree 255 = 3 * 85 in 8-bit fields, where the key is 0 modulo 2**8 - 1
 @example(MvPolynomial(CTX, ZZ, {(85, 85, 85): 1}), MvPolynomial(CTX, ZZ, {(0, 0, 1): 1}))
+# 8-bit fields where arity * e = 381 passes 255 but the OR of the keys
+# has degree 255, so key % 255 (= 0) is not the degree
+@example(MvPolynomial(CTX, ZZ, {(127, 127, 1): 1}), MvPolynomial(CTX, ZZ, {(0, 0, 1): 1}))
 # 16-bit fields past the modular bound, whose high bytes weigh 256
 @example(MvPolynomial(CTX, ZZ, {(32767, 32767, 1): 1}), MvPolynomial(CTX, ZZ, {(0, 0, 1): 1}))
 def test_degrees_match_tuple_sums(f, g):
@@ -172,6 +175,23 @@ def test_degrees_match_tuple_sums(f, g):
         degs = {sum(m) for m in h.terms}
         assert h.total_degree() == max(degs)
         assert h.homogeneous_degree() == (degs.pop() if len(degs) == 1 else None)
+
+
+@PROPERTY
+@given(polys(ZZ, st.integers(-30, 30), max_terms=6), polys(ZZ, max_terms=2))
+@example(MvPolynomial.zero(CTX, ZZ), MvPolynomial.zero(CTX, ZZ))
+@example(MvPolynomial.constant(CTX, ZZ, -3), MvPolynomial.one(CTX, ZZ))
+# a negative leading term, a constant and a degree tie, in 16-bit fields
+@example(
+    MvPolynomial(CTX, ZZ, {(200, 0, 1): -1, (0, 1, 200): 8, (1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 0): 5}),
+    MvPolynomial(CTX, ZZ, {(1, 0, 0): 1}),
+)
+def test_format_matches_the_tuple_oracle(f, g):
+    # f * g is packed at a width chosen from a bound, which can be wider
+    # than its exponents need
+    for h in (f, f * g):
+        for dom in (ZZ, GF(7)):
+            assert format_poly(h.with_domain(dom)) == tuple_format_poly(h.with_domain(dom))
 
 
 @PROPERTY

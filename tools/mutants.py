@@ -141,9 +141,19 @@ MUTANTS = (
     Mutant(
         "degree-mod-bound-inclusive",
         "src/diagvar/polyring.py",
-        "if len(self.ctx) * self._e < m:",
-        "if len(self.ctx) * self._e <= m:",
+        "len(self.ctx) * self._e < m or",
+        "len(self.ctx) * self._e <= m or",
         ("tests/test_polyring_properties.py::test_degrees_match_tuple_sums",),
+    ),
+    Mutant(
+        "degree-or-bound-inclusive",
+        "src/diagvar/polyring.py",
+        "reduce(operator.or_, self._t, 0)])) < m:",
+        "reduce(operator.or_, self._t, 0)])) <= m:",
+        (
+            "tests/test_polyring.py::test_degree_past_the_per_variable_bound",
+            "tests/test_polyring_properties.py::test_degrees_match_tuple_sums",
+        ),
     ),
     Mutant(
         "degree-mod-fixed-8-bit-width",
@@ -175,6 +185,23 @@ MUTANTS = (
         "e = self.total_degree() * max(",
         "e = max(",
         ("tests/test_polyring_properties.py::test_substitute_is_ring_homomorphism",),
+    ),
+    Mutant(
+        "substitute-touched-mask-test-dropped",
+        "src/diagvar/polyring.py",
+        "        if not reduce(operator.or_, self._t, 0) & touched:\n            return self\n",
+        "",
+        ("tests/test_diagvariety.py::test_apply_to_matrix_returns_untouched_entries_as_they_are",),
+    ),
+    Mutant(
+        "format-degree-ties-ascending",
+        "src/diagvar/polyring.py",
+        "sorted(zip(f._degrees(), exps, f._t.values()), reverse=True)",
+        "sorted(zip(map(operator.neg, f._degrees()), exps, f._t.values()))",
+        (
+            "tests/test_polyring.py::test_format_degree_tie_orders_row_major",
+            "tests/test_polyring_properties.py::test_format_matches_the_tuple_oracle",
+        ),
     ),
     Mutant(
         "with_domain-reduces-its-source",
