@@ -56,9 +56,6 @@ class Specialization:
         self.mode = mode
         self.assignments = dict(assignments)
 
-    def apply(self, f: MvPolynomial) -> MvPolynomial:
-        return f.substitute(self.assignments)
-
     def apply_to_matrix(self, M: PolyMatrix) -> PolyMatrix:
         """Each entry of M specialized.  The entries share one context and
         domain, so the assignments are checked against M once."""
@@ -113,14 +110,14 @@ def build_specialization(n: int, label: str, mode: str | None = None, dom: Domai
     return Specialization(label, asg, mode)
 
 
-def generic_matrix(n: int, dom: Domain = ZZ) -> PolyMatrix:
+def generic_matrix(n: int) -> PolyMatrix:
     """The n-by-n matrix whose (i, j) entry is the variable x_i_j."""
     if n < 1:
         raise ValueError("matrix size must be positive")
     ctx = VarContext.matrix(n)
     return PolyMatrix(
         [
-            [MvPolynomial.variable(ctx, dom, var(i, j)) for j in range(1, n + 1)]
+            [MvPolynomial.variable(ctx, ZZ, var(i, j)) for j in range(1, n + 1)]
             for i in range(1, n + 1)
         ]
     )
@@ -153,7 +150,7 @@ def _distinct_vars(M: PolyMatrix) -> int:
     return len(used)
 
 
-def _c_matrix(M: PolyMatrix, force: bool) -> PolyMatrix:
+def _c_matrix(M: PolyMatrix) -> PolyMatrix:
     """C(M), a matrix with det C(M) = det D(M) = P(M), built from n
     characteristic polynomials of size n - 1 instead of powers of M.
 
@@ -173,7 +170,6 @@ def _c_matrix(M: PolyMatrix, force: bool) -> PolyMatrix:
     determinants of size n - 1 instead of diagonals of M^(n-1), so the
     subset dynamic program pairs far fewer terms."""
     n = M.n
-    _specialized_guard(n, force)
     ctx, dom = M.ctx, M.dom
     if n == 1:
         return PolyMatrix([[MvPolynomial.one(ctx, dom)]])
@@ -185,7 +181,7 @@ def _c_matrix(M: PolyMatrix, force: bool) -> PolyMatrix:
     C = [[None] * n for _ in range(n)]
     for k in range(n):
         keep = [i for i in range(n) if i != k]
-        cp = PolyMatrix([[M.rows[i][j] for j in keep] for i in keep])._char_poly(name, force)
+        cp = PolyMatrix([[M.rows[i][j] for j in keep] for i in keep])._char_poly(name)
         # the appended variable is the top field, so a key's t-degree is
         # its bits above the context's fields
         shift = cp._w * len(ctx)
@@ -205,7 +201,8 @@ def compute_P(M: PolyMatrix, *, force: bool = False) -> MvPolynomial:
     n <= SPECIALIZED_GUARD, the budget diag_matrix shares."""
     if not force and _distinct_vars(M) >= M.n * M.n:
         guard("pofx", M.n)
-    return _c_matrix(M, force).det(force=force)
+    _specialized_guard(M.n, force)
+    return _c_matrix(M)._det(None)
 
 
 def _leading_block(X: PolyMatrix, m: int) -> PolyMatrix:
@@ -227,7 +224,7 @@ def verify_block_factorization(n: int, mode: str = "both", *, force: bool = Fals
     spec = build_specialization(n, "tilde", mode)
     lhs = compute_P(spec.apply_to_matrix(X), force=force)
     X0 = _leading_block(X, n - 1)
-    return lhs == compute_P(X0, force=force) * X0._char_poly(var(n, n), force)
+    return lhs == compute_P(X0, force=force) * X0._char_poly(var(n, n))
 
 
 def verify_peeling_identity(n: int, *, force: bool = False) -> bool:
@@ -282,7 +279,7 @@ def antidiag_unit_coeff(n: int, spec: str = "kill_s", *, force: bool = False) ->
     X = generic_matrix(n)
     Xs = build_specialization(n, spec).apply_to_matrix(X)
     target = _above_antidiag_exps(n, X.ctx)
-    return _c_matrix(Xs, force)._det(target, force).coefficient(target)
+    return _c_matrix(Xs)._det(target).coefficient(target)
 
 
 class SopNormalForm(NamedTuple):
@@ -303,7 +300,7 @@ def sop_normal_form(n: int, *, force: bool = False) -> SopNormalForm:
     n(n-1)/2."""
     guard("sop", n, force)
     A = intlattice.IntMatrix([[int(i + j <= n) for j in range(1, n + 1)] for i in range(1, n + 1)])
-    c = intlattice.int_det(intlattice.diag_of_powers_matrix(A, range(n)))
+    c = intlattice.int_det(intlattice.diag_of_powers_matrix(A))
     if c not in (1, -1):
         raise NormalFormError(f"expected a unit coefficient, got {c}")
     return SopNormalForm(sign=c, exponent=n * (n - 1) // 2)

@@ -8,7 +8,7 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 from .errors import ContextError, DomainError
-from .polyring import GF, MvPolynomial, _bound_masks, _key_weights
+from .polyring import GF, MvPolynomial
 
 __all__ = ["FedderVerdict", "fedder_check"]
 
@@ -42,14 +42,11 @@ def fedder_check(f: MvPolynomial, p: int, weight: Sequence[int] | None = None) -
     the same truncated power coefficientwise.
 
     An integer weight vector w (one entry per variable) changes only the
-    speed of the half-power route, never the answer.  Let mu be the largest
-    w-weight of a term of f below the cap.  A term t - m of h is a product
-    of k such terms, so w.(t - m) <= k * mu and w.m >= w.t - k * mu.  The
-    half power is therefore built only down to the floor w.t - k * mu:
-    every m with its partner t - m in h lies above it, and both keep their
-    exact coefficients (see `MvPolynomial.pow_capped`).  The p = 2 route
-    and the inhomogeneous route ignore the weight, but every route rejects
-    one whose length is not the variable count.
+    speed of the half-power route, never the answer.  The half power is
+    built with top w.t: `MvPolynomial.pow_capped` keeps every m whose
+    partner t - m is in h, both with their exact coefficients.  The p = 2
+    route and the inhomogeneous route ignore the weight, but every route
+    rejects one whose length is not the variable count.
     """
     if not f:
         raise ValueError("zero polynomial")
@@ -61,14 +58,8 @@ def fedder_check(f: MvPolynomial, p: int, weight: Sequence[int] | None = None) -
         return FedderVerdict(False, None, p, nvars)
     if p > 2 and g0.homogeneous_degree() == nvars:
         target = (p - 1,) * nvars
-        k = (p - 1) // 2
-        floor = None
-        if weight is not None:
-            add, flag = _bound_masks(target, g0._w)
-            below = [key for key in g0._t if not (key + add) & flag]
-            mu = max(_key_weights(below, weight, g0._w), default=0)
-            floor = (p - 1) * sum(weight) - k * mu
-        h = g0.pow_capped(k, cap=p, weight=weight, floor=floor)
+        top = None if weight is None else (p - 1) * sum(weight)
+        h = g0.pow_capped((p - 1) // 2, cap=p, weight=weight, top=top)
         if h.mul_coefficient(h, target):
             return FedderVerdict(True, target, p, nvars)
         return FedderVerdict(False, None, p, nvars)

@@ -4,9 +4,11 @@ The paper's identities hold for every n; an exact check covers a finite
 window of n.  This table is the one place that window is written.  The
 check functions refuse sizes outside it unless forced, `diagvar suite` runs
 every cell inside it, and `diagvar <cmd> --help` prints it.  Budgets that
-limit one layer on any input (the polynomial determinant and characteristic
-polynomial, `diag_matrix` and `compute_P`, `int_det`,
-`power_diagonal_check`) stay with the function they limit.
+limit one layer on any input stay with the public function they limit, which
+checks its budget once: `PolyMatrix.det` and `char_poly`, `diag_matrix` and
+`compute_P`, `int_det`, `power_diagonal_check`.  The internal routes under
+them (`_det`, `_char_poly`, `_c_matrix`) check nothing, as every window and
+the specialized budget lie within the layer budgets.
 """
 
 from __future__ import annotations

@@ -147,22 +147,14 @@ def int_pow(A: IntMatrix, k: int) -> IntMatrix:
     return result
 
 
-def diag_of_powers_matrix(A: IntMatrix, exponents) -> IntMatrix:
-    """The matrix whose column j is the main diagonal of A**exponents[j].
-    The powers are walked once in ascending order, one product per step."""
-    exponents = list(exponents)
-    n = A.n
-    if len(exponents) != n:
-        raise ValueError(f"need exactly {n} exponents, got {len(exponents)}")
-    order = sorted(range(n), key=exponents.__getitem__)
-    e = exponents[order[0]]
-    power = int_pow(A, e)
-    cols = [None] * n
-    for j in order:
-        while e < exponents[j]:
-            power = power * A
-            e += 1
-        cols[j] = power.diagonal()
+def diag_of_powers_matrix(A: IntMatrix) -> IntMatrix:
+    """The matrix whose column j is the main diagonal of A**j, for
+    j = 0..n-1: the integer D(A), one product per column past the first."""
+    power = IntMatrix.identity(A.n)
+    cols = [power.diagonal()]
+    for _ in range(A.n - 1):
+        power = power * A
+        cols.append(power.diagonal())
     return IntMatrix(cols).transpose()
 
 
@@ -275,7 +267,7 @@ def power_diagonal_check(A: IntMatrix, *, force: bool = False) -> PowerDiagonalR
         raise SizeGuardError(f"power diagonal guard: n <= {POWER_SPAN_GUARD}, got {n}")
     if abs(int_det(A)) != 1:
         raise NotUnimodularError("matrix must have determinant +1 or -1")
-    D = diag_of_powers_matrix(A, range(n))
+    D = diag_of_powers_matrix(A)
     det_diag = int_det(D)
     a = abs(det_diag) == 1
     diags = [tuple(D.rows[i][j] for i in range(n)) for j in range(n)]
@@ -348,7 +340,7 @@ def verify_inverse_bands(n: int, *, force: bool = False) -> BandReport:
         odd_power = odd_power * B2
         span_vectors.append(odd_power.diagonal())
     span_ok = spans_Zn(span_vectors)
-    p_of_a = int_det(diag_of_powers_matrix(A, range(n)))
+    p_of_a = int_det(diag_of_powers_matrix(A))
     return BandReport(b2=b2_ok, odd=odd_ok, span=span_ok, p_of_a=p_of_a)
 
 

@@ -93,21 +93,25 @@ class PolyMatrix:
 
     def det(self, *, force: bool = False) -> MvPolynomial:
         """Exact determinant via the subset dynamic program."""
-        return self._det(None, force)
+        if self.n > DET_GUARD and not force:
+            raise SizeGuardError(f"det guard: n <= {DET_GUARD}, got {self.n}")
+        return self._det(None)
 
-    def _det(self, bound, force: bool) -> MvPolynomial:
+    def _det(self, bound) -> MvPolynomial:
+        """The determinant, dropping every monomial with an exponent above
+        the per-variable bound (None: no bound)."""
         n = self.n
-        if n > DET_GUARD and not force:
-            raise SizeGuardError(f"det guard: n <= {DET_GUARD}, got {n}")
-        rows = self.rows
-        if bound is not None:
-            one = MvPolynomial.one(self.ctx, self.dom)
-            rows = [[one._mul(f, bound) for f in row] for row in rows]
         # every exponent of a k-row minor is at most the sum of the top k
         # rows' exponent bounds
-        e = sum(max(f._e for f in row) for row in rows)
-        w, rows = _packed_rows(rows, e)
-        masks = _bound_masks(bound, w)
+        emax = [max(f._e for f in row) for row in self.rows]
+        if bound is not None:
+            emax = [min(x, max(bound, default=0)) for x in emax]
+        e = sum(emax)
+        w, rows = _packed_rows(self.rows, e)
+        masks = add, flag = _bound_masks(bound, w)
+        if flag:
+            # an entry's term above the bound divides no kept term
+            rows = [[{k: c for k, c in t.items() if not (k + add) & flag} for t in row] for row in rows]
         p = self.dom.p
         # level k maps a k-subset of columns (bitmask) to the packed terms of
         # the determinant of the top k rows restricted to those columns; each
@@ -139,14 +143,14 @@ class PolyMatrix:
                     t_field = ((1 << e._w) - 1) << (e._w * ti)
                     if any(key & t_field for key in e._t):
                         raise ContextError("t is reserved; entries must not use it")
-        return self._char_poly("t", force)
+        if self.n > CHAR_POLY_GUARD and not force:
+            raise SizeGuardError(f"char_poly guard: n <= {CHAR_POLY_GUARD}, got {self.n}")
+        return self._char_poly("t")
 
-    def _char_poly(self, name: str, force: bool) -> MvPolynomial:
+    def _char_poly(self, name: str) -> MvPolynomial:
         """det(name*I - A), with the variable name appended to the context
         when absent.  The caller ensures that no entry uses it."""
         n = self.n
-        if n > CHAR_POLY_GUARD and not force:
-            raise SizeGuardError(f"char_poly guard: n <= {CHAR_POLY_GUARD}, got {n}")
         ctx_t = self.ctx if name in self.ctx else self.ctx.with_var(name)
         t = MvPolynomial.variable(ctx_t, self.dom, name)
         out = []
@@ -156,7 +160,7 @@ class PolyMatrix:
                 e = self.rows[i][j].with_context(ctx_t)
                 orow.append(t - e if i == j else -e)
             out.append(orow)
-        return PolyMatrix(out)._det(None, force)
+        return PolyMatrix(out)._det(None)
 
     def __repr__(self):
         return f"PolyMatrix(n={self.n}, vars={len(self.ctx)})"

@@ -11,8 +11,8 @@ width.  A product then runs one of two loops, picked by its exponent bound
 alone: a product capped below its field's limit tests each key against the
 cap with a mask, and every other product runs a loop without that test.
 A total degree is its key modulo 2**w - 1 (past a bound, the key's byte
-sum).  Exponent tuples are built only at the API boundary: `terms`,
-`coefficient` and JSON; formatting reads each key's bytes.  A change of
+sum).  Exponent tuples are built only at the API boundary: `terms` and
+`coefficient`; formatting reads each key's bytes.  A change of
 context moves each key by a byte gather.
 
 Coefficients are Python ints, so integer arithmetic never overflows; mod-p
@@ -28,7 +28,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from functools import partial, reduce
 from itertools import compress, count, repeat
 
-from .errors import ContextError, DomainError, PolyParseError, SchemaError
+from .errors import ContextError, DomainError, PolyParseError
 
 __all__ = [
     "Domain",
@@ -38,7 +38,6 @@ __all__ = [
     "MvPolynomial",
     "parse_poly",
     "format_poly",
-    "poly_from_json",
 ]
 
 
@@ -458,26 +457,22 @@ class MvPolynomial:
         if not isinstance(other, MvPolynomial):
             return NotImplemented
         self._check_compat(other)
-        return self._mul(other, None)
+        return self._mul(other)
 
     def __rmul__(self, other):
         if isinstance(other, int):
             return self._scaled(other)
         return NotImplemented
 
-    def _mul(self, other: "MvPolynomial", bound) -> "MvPolynomial":
-        """The product, dropping every monomial with an exponent above the
-        per-variable bound (None: no bound)."""
+    def _mul(self, other: "MvPolynomial") -> "MvPolynomial":
         e = self._e + other._e
         w = max(self._w, other._w, _width(e))
         out: dict = {}
-        _mul_into(out, self._at(w), other._at(w), 1, _bound_masks(bound, w))
-        if bound is not None:
-            e = min(e, max(bound, default=0))
+        _mul_into(out, self._at(w), other._at(w))
         return MvPolynomial._raw(self.ctx, self.dom, _reduce_in_place(out, self.dom.p), e, w)
 
     def pow_capped(
-        self, k: int, cap: int | None = None, weight: Sequence[int] | None = None, floor: int | None = None
+        self, k: int, cap: int | None = None, weight: Sequence[int] | None = None, top: int | None = None
     ) -> "MvPolynomial":
         """Exact k-th power; with a cap, every monomial holding an exponent
         >= cap is deleted (sound because exponents only grow under
@@ -488,11 +483,13 @@ class MvPolynomial:
         pairs two large powers: at k = 6 on the killed P at n = 5 (32 terms,
         cap 13), 1,012,288 pairs against 2,640,160.
 
-        With an integer weight vector and a floor, only the terms m of
-        weight w.m >= floor are returned, each with its exact coefficient.
-        Let mu be the largest weight of a truncated base term.  Each of the
-        k - j products still to come after product j adds at most mu, so a
-        term below floor - (k - j) * mu there cannot reach the floor, and
+        With an integer weight vector and a top, only the terms m of weight
+        w.m >= floor = top - k * mu are returned, each with its exact
+        coefficient; mu is the largest weight of a truncated base term.
+        Every term m whose partner top - m is a term too lies there, as the
+        partner, a product of k base terms, weighs at most k * mu.  Each of
+        the k - j products still to come after product j adds at most mu, so
+        a term below floor - (k - j) * mu there cannot reach the floor, and
         it is dropped at once (sound for every weight, as the cap is).  A
         kept term keeps its exact coefficient: along each contribution to
         it, the term after product i is at most (k - i) * mu below it, so
@@ -501,13 +498,13 @@ class MvPolynomial:
             raise ValueError("exponent must be non-negative")
         if cap is not None and cap < 1:
             raise ValueError("cap must be at least 1")
-        if (weight is None) != (floor is None):
-            raise ValueError("a weight needs a floor and a floor needs a weight")
+        if (weight is None) != (top is None):
+            raise ValueError("a weight needs a top and a top needs a weight")
         if weight is not None and len(weight) != len(self.ctx):
             raise ContextError("weight length does not match context arity")
         if k == 0:
             one = MvPolynomial.one(self.ctx, self.dom)
-            return one if weight is None or floor <= 0 else MvPolynomial.zero(self.ctx, self.dom)
+            return one if weight is None or top <= 0 else MvPolynomial.zero(self.ctx, self.dom)
         # after j products the exponents are at most j*e, and below the cap;
         # one width holds the last accumulator plus the base for the chain
         e = self._e if cap is None else min(self._e, cap - 1)
@@ -521,6 +518,7 @@ class MvPolynomial:
         if weight is not None:
             weigh = partial(_key_weights, weight=weight, w=w)
             mu = max(weigh(base), default=0)
+            floor = top - k * mu
         p = self.dom.p
         acc: dict = {0: 1}
         for j in range(1, k + 1):
@@ -791,24 +789,3 @@ def parse_poly(text: str, ctx: VarContext, dom: Domain) -> MvPolynomial:
         else:
             error("expected '+' or '-'")
     return MvPolynomial(ctx, dom, terms)
-
-
-# -- JSON form ----------------------------------------------------------------
-
-
-def poly_from_json(obj) -> MvPolynomial:
-    try:
-        ctx = VarContext(obj["vars"])
-        dk = obj["domain"]["kind"]
-        if dk == "Z":
-            dom = ZZ
-        elif dk == "Fp":
-            dom = GF(int(obj["domain"]["p"]))
-        else:
-            raise SchemaError(f"unknown domain kind {dk!r}")
-        terms = []
-        for t in obj["terms"]:
-            terms.append((tuple(int(e) for e in t["exps"]), int(t["coeff"])))
-        return MvPolynomial(ctx, dom, terms)
-    except (KeyError, TypeError, ValueError) as e:
-        raise SchemaError(f"malformed polynomial JSON: {e}") from e

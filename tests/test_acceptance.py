@@ -180,7 +180,7 @@ def test_criterion_9_structural_properties():
             ]
             for label, mode in labels:
                 s = build_specialization(n, label, mode)
-                assert compute_P(s.apply_to_matrix(X)) == s.apply(P), (n, label)
+                assert compute_P(s.apply_to_matrix(X)) == P.substitute(s.assignments), (n, label)
 
         rng = random.Random(20260813)
         from diagvar.intlattice import int_pow

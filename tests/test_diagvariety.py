@@ -21,7 +21,7 @@ from diagvar.diagvariety import (
 from diagvar import diagvariety
 from diagvar.errors import ContextError, DomainError, NormalFormError, SizeGuardError
 from diagvar.intlattice import antidiagonal_ones, power_diagonal_check
-from diagvar.polymatrix import PolyMatrix, polymatrix_from_json
+from diagvar.polymatrix import CHAR_POLY_GUARD, DET_GUARD, PolyMatrix, polymatrix_from_json
 from diagvar.polyring import GF, ZZ, MvPolynomial, VarContext, parse_poly
 from oracles import frobenius_power_bruteforce, perm_det_poly, random_poly, sop_by_polynomial_P
 
@@ -252,6 +252,27 @@ def test_specialized_guard_names_the_shared_budget():
         diag_matrix(M)
 
 
+@pytest.mark.parametrize(
+    "call, n",
+    [
+        (PolyMatrix.det, DET_GUARD + 1),
+        (PolyMatrix.char_poly, CHAR_POLY_GUARD + 1),
+        (diag_matrix, diagvariety.SPECIALIZED_GUARD + 1),
+    ],
+    ids=["det", "char_poly", "diag_matrix"],
+)
+def test_layer_budget_one_past_comes_before_any_work(monkeypatch, call, n):
+    M = specialized(n, "kill_s")
+
+    def no_work(*args):
+        raise AssertionError("a product or a determinant was started")
+
+    for name in ("_det", "_char_poly", "__mul__"):
+        monkeypatch.setattr(PolyMatrix, name, no_work)
+    with pytest.raises(SizeGuardError, match=f"n <= {n - 1}, got {n}"):
+        call(M)
+
+
 SPEC_LABELS = [("kill_s", None), ("kill_s0", None), ("sop", None)] + [("tilde", m) for m in diagvariety.TILDE_MODES]
 
 
@@ -261,7 +282,7 @@ def test_apply_to_matrix_is_substitute_entrywise(n):
     for M in (X, X * X, (X * X).map_entries(lambda f: f.with_domain(GF(3)))):
         for label, mode in SPEC_LABELS:
             s = build_specialization(n, label, mode, M.dom)
-            assert s.apply_to_matrix(M) == M.map_entries(s.apply), (label, mode)
+            assert s.apply_to_matrix(M) == M.map_entries(lambda f: f.substitute(s.assignments)), (label, mode)
 
 
 def test_apply_to_matrix_returns_untouched_entries_as_they_are():
@@ -291,7 +312,7 @@ def test_specialize_then_build_commutes_with_build_then_substitute():
         ]
         for label, mode in labels:
             s = build_specialization(n, label, mode)
-            assert compute_P(s.apply_to_matrix(X)) == s.apply(P), (n, label, mode)
+            assert compute_P(s.apply_to_matrix(X)) == P.substitute(s.assignments), (n, label, mode)
 
 
 # -- block factorization ------------------------------------------------------

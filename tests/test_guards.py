@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from diagvar import cli
+from diagvar import cli, diagvariety
 from diagvar.diagvariety import (
+    SPECIALIZED_GUARD,
     antidiag_unit_coeff,
+    build_specialization,
     check_fpure,
     compute_P,
     generic_matrix,
@@ -21,6 +23,7 @@ from diagvar.diagvariety import (
 from diagvar.errors import SizeGuardError
 from diagvar.guards import WINDOWS, describe, guard
 from diagvar.intlattice import verify_inverse_bands
+from diagvar.polymatrix import CHAR_POLY_GUARD, DET_GUARD, PolyMatrix
 
 PINS = Path(__file__).resolve().parent.parent / "perfbench" / "pins.json"
 
@@ -57,6 +60,33 @@ def test_guard_passes_inside_window_and_when_forced():
         for n in (w.lo, w.hi):
             guard(check, n, p=w.primes[0] if w.primes else None)
         guard(check, w.hi + 1, force=True)
+
+
+def test_windows_keep_the_internal_routes_within_the_layer_budgets(monkeypatch):
+    # _det, _char_poly and _c_matrix check no budget of their own; every
+    # unforced cell at its window's top, and compute_P at its own budget,
+    # must keep the sizes they reach within the det and char_poly budgets
+    sizes = {"_det": set(), "_char_poly": set()}
+    for name, seen in sizes.items():
+
+        def record(self, *args, inner=getattr(PolyMatrix, name), seen=seen):
+            seen.add(self.n)
+            return inner(self, *args)
+
+        monkeypatch.setattr(PolyMatrix, name, record)
+    # the fedder cells build the killed P afresh, not from the cache
+    monkeypatch.setattr(diagvariety, "_killed_P", diagvariety._killed_P.__wrapped__)
+    monkeypatch.setattr(diagvariety, "_killed_survivors", diagvariety._killed_survivors.__wrapped__)
+    primes = sorted({p for w in WINDOWS.values() for p in w.primes})
+    cells = cli._suite_cells(max(w.hi for w in WINDOWS.values()), primes, cli.SUITE_CHECKS)
+    for check, kw in cells:
+        if kw["n"] == WINDOWS[check].hi:
+            assert cli._run_cell((check, kw))["pass"], (check, kw)
+    n = SPECIALIZED_GUARD
+    compute_P(build_specialization(n, "sop").apply_to_matrix(generic_matrix(n)))
+    assert n in sizes["_det"] and n - 1 in sizes["_char_poly"]
+    assert max(sizes["_det"]) <= DET_GUARD, sizes
+    assert max(sizes["_char_poly"]) <= CHAR_POLY_GUARD, sizes
 
 
 @pytest.mark.parametrize("check", list(WINDOWS))

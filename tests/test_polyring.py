@@ -1,7 +1,6 @@
 """Polynomial core: parsing, formatting, arithmetic, capped powers,
 substitution, and the canonical-form contracts."""
 
-import json
 import math
 import random
 
@@ -17,7 +16,6 @@ from diagvar.polyring import (
     _is_prime,
     format_poly,
     parse_poly,
-    poly_from_json,
 )
 from oracles import pow_then_delete, random_poly
 
@@ -282,23 +280,26 @@ def test_pow_capped_rejects_bad_arguments():
     with pytest.raises(ValueError):
         f.pow_capped(2, weight=[1, 0, 0, 0])
     with pytest.raises(ValueError):
-        f.pow_capped(2, floor=0)
+        f.pow_capped(2, top=0)
     with pytest.raises(ContextError):
-        f.pow_capped(2, weight=[1], floor=0)
+        f.pow_capped(2, weight=[1], top=0)
 
 
 def test_floored_power_keeps_every_contribution():
-    # with weight 1 on x_1_1 and floor 1, x_1_1*x_1_2 is kept; one of its
-    # two contributions passes through x_1_2, of weight 0 after one product
+    # with weight 1 on x_1_1, mu = 1, and top 3 puts the floor at
+    # 3 - 2 * mu = 1: x_1_1*x_1_2 is kept, and one of its two contributions
+    # passes through x_1_2, of weight 0 after one product
     f = P("x_1_1 + x_1_2")
     weight = [1, 0, 0, 0]
-    assert f.pow_capped(2, weight=weight, floor=1) == P("x_1_1^2 + 2*x_1_1*x_1_2")
-    assert f.pow_capped(2, cap=2, weight=weight, floor=1) == P("2*x_1_1*x_1_2")
-    # x_1_1^300 is packed in 16-bit fields, where its high byte weighs 256
+    assert f.pow_capped(2, weight=weight, top=3) == P("x_1_1^2 + 2*x_1_1*x_1_2")
+    assert f.pow_capped(2, cap=2, weight=weight, top=3) == P("2*x_1_1*x_1_2")
+    # x_1_1^300 is packed in 16-bit fields, where its high byte weighs 256;
+    # mu = 150 and top 450 put the floor at 150
     g = P("x_1_1^150 + x_1_2")
-    assert g.pow_capped(2, weight=weight, floor=150) == P("x_1_1^300 + 2*x_1_1^150*x_1_2")
-    assert f.pow_capped(0, weight=weight, floor=1) == MvPolynomial.zero(CTX2, ZZ)
-    assert f.pow_capped(0, weight=weight, floor=0) == MvPolynomial.one(CTX2, ZZ)
+    assert g.pow_capped(2, weight=weight, top=450) == P("x_1_1^300 + 2*x_1_1^150*x_1_2")
+    # the floor of the 0-th power is the top itself
+    assert f.pow_capped(0, weight=weight, top=1) == MvPolynomial.zero(CTX2, ZZ)
+    assert f.pow_capped(0, weight=weight, top=0) == MvPolynomial.one(CTX2, ZZ)
 
 
 def test_large_exponents_widen_the_field():
@@ -408,45 +409,6 @@ def test_with_domain_reduces_mod_p():
     assert f == P("6*x_1_1 + 5")
     with pytest.raises(DomainError):
         g.with_domain(ZZ)
-
-
-# -- JSON ----------------------------------------------------------------
-
-
-def test_poly_json_loads_each_domain():
-    for dom, domain in ((ZZ, '{"kind": "Z"}'), (GF(7), '{"kind": "Fp", "p": 7}')):
-        f = poly_from_json(
-            json.loads(
-                '{"vars": ["x_1_1", "x_1_2", "x_2_1", "x_2_2"], "domain": ' + domain + ', "terms": ['
-                '{"coeff": "2", "exps": [2, 0, 0, 1]}, {"coeff": "-1", "exps": [0, 1, 0, 0]},'
-                ' {"coeff": "11", "exps": [0, 0, 0, 0]}]}'
-            )
-        )
-        assert f.dom == dom
-        assert f == parse_poly("2*x_1_1^2*x_2_2 - x_1_2 + 11", CTX2, dom)
-
-
-def test_poly_json_big_coefficients():
-    obj = json.loads(
-        '{"vars": ["x_1_1", "x_1_2", "x_2_1", "x_2_2"], "domain": {"kind": "Z"},'
-        ' "terms": [{"coeff": "10000000000000000000000000000000000000000", "exps": [1, 0, 0, 0]}]}'
-    )
-    assert poly_from_json(obj) == MvPolynomial(CTX2, ZZ, {(1, 0, 0, 0): 10**40})
-
-
-def test_poly_json_rejects_malformed_input():
-    from diagvar.errors import SchemaError
-
-    with pytest.raises(SchemaError):
-        poly_from_json({"vars": ["x_1_1"], "domain": {"kind": "Q"}, "terms": []})
-    with pytest.raises(SchemaError):
-        poly_from_json(
-            {
-                "vars": ["x_1_1"],
-                "domain": {"kind": "Z"},
-                "terms": [{"coeff": "1", "exps": [-1]}],
-            }
-        )
 
 
 # -- shared-value concurrency ---------------------------------------------

@@ -8,8 +8,15 @@ from hypothesis import strategies as st
 
 from diagvar.errors import ContextError
 from diagvar.polymatrix import PolyMatrix
-from diagvar.polyring import GF, ZZ, MvPolynomial, VarContext, format_poly
-from oracles import pow_then_delete, tuple_format_poly, tuple_product, tuple_substitute, tuple_with_context
+from diagvar.polyring import GF, ZZ, MvPolynomial, VarContext, _bound_masks, _mul_into, _reduce_in_place, format_poly
+from oracles import (
+    perm_det_poly,
+    pow_then_delete,
+    tuple_format_poly,
+    tuple_product,
+    tuple_substitute,
+    tuple_with_context,
+)
 
 CTX = VarContext(["a", "b", "c"])
 EXPONENTS = st.one_of(st.integers(0, 3), st.integers(124, 131), st.integers(16380, 16400))
@@ -88,9 +95,10 @@ def weigh(weight, m):
 @PROPERTY
 @given(st.sampled_from([ZZ, GF(7)]), st.sampled_from([0, 62, 126, 16382]), st.integers(0, 3), st.data())
 def test_pow_capped_with_a_floor_keeps_the_power_above_it(dom, offset, k, data):
-    # the floored power is the capped power restricted, by tuple arithmetic,
-    # to the terms of weight >= floor; weights of every sign, and floors
-    # drawn at and beside the weights the power's terms reach
+    # the power with a top is the capped power restricted, by tuple
+    # arithmetic, to the terms of weight >= floor = top - k * mu, mu the
+    # largest weight of a base term below the cap; weights of every sign,
+    # and floors drawn at and beside the weights the power's terms reach
     exps = st.one_of(st.integers(0, 2), st.integers(offset, offset + 3))
     f = data.draw(polys(dom, st.integers(-30, 30), monomials=st.tuples(exps, exps, exps), max_terms=4))
     cap = data.draw(st.one_of(st.integers(1, 6), st.integers(max(1, k * offset - 3), k * (offset + 3) + 3)))
@@ -100,7 +108,8 @@ def test_pow_capped_with_a_floor_keeps_the_power_above_it(dom, offset, k, data):
     reached = sorted({weigh(weight, m) for m in full.terms}, reverse=True)
     floor = data.draw(st.sampled_from(reached) if reached else st.integers(-20, 20)) + data.draw(st.integers(-1, 1))
     kept = {m: c for m, c in full.terms.items() if weigh(weight, m) >= floor}
-    assert f.pow_capped(k, cap=cap, weight=weight, floor=floor) == MvPolynomial(CTX, dom, kept)
+    mu = max((weigh(weight, m) for m in f.terms if max(m) < cap), default=0)
+    assert f.pow_capped(k, cap=cap, weight=weight, top=floor + k * mu) == MvPolynomial(CTX, dom, kept)
 
 
 SUBST_MONOMIALS = st.tuples(st.integers(0, 70), st.one_of(st.integers(0, 3), st.integers(64, 70)), st.integers(0, 2))
@@ -201,10 +210,30 @@ def test_bounded_product_with_a_loose_bound_is_the_product(dom, data):
     # the masked loop must agree with the unmasked one
     f = data.draw(polys(dom, st.integers(-30, 30)))
     g = data.draw(polys(dom, st.integers(-30, 30)))
-    fg = f._mul(g, None)
+    fg = f * g
     slack = data.draw(st.tuples(*[st.integers(0, 3)] * len(CTX)))
     bound = tuple(max((m[i] for m in fg.terms), default=0) + slack[i] for i in range(len(CTX)))
-    assert f._mul(g, bound) == fg
+    w = fg._w  # the width the product was packed at holds every exponent
+    out: dict = {}
+    _mul_into(out, f._at(w), g._at(w), 1, _bound_masks(bound, w))
+    assert MvPolynomial._raw(CTX, dom, _reduce_in_place(out, dom.p), fg._e, w) == fg
+
+
+BOUNDED_EXPONENTS = st.one_of(st.integers(0, 3), st.integers(124, 131))
+
+
+@PROPERTY
+@given(st.sampled_from([ZZ, GF(7)]), st.integers(1, 3), st.data())
+def test_bounded_determinant_is_the_determinant_restricted(dom, n, data):
+    # the bounded determinant is the determinant restricted, by tuple
+    # arithmetic, to the monomials within the bound; entries hold exponents
+    # on both sides of the bound, and beside the 8-bit packing limit
+    entry = polys(dom, st.integers(-30, 30), max_terms=3, monomials=st.tuples(*[BOUNDED_EXPONENTS] * len(CTX)))
+    M = PolyMatrix(data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+    bound = data.draw(st.tuples(*[st.one_of(st.integers(0, 6), st.integers(124, 262))] * len(CTX)))
+    full = perm_det_poly(M.rows, CTX, dom)
+    kept = {m: c for m, c in full.terms.items() if all(x <= b for x, b in zip(m, bound))}
+    assert M._det(bound) == MvPolynomial(CTX, dom, kept)
 
 
 # source and target contexts of with_context: the target reorders, appends

@@ -58,12 +58,22 @@ MUTANTS = (
     ),
     Mutant(
         "fedder-mu-smallest-weight",
-        "src/diagvar/fpurity.py",
-        "mu = max(_key_weights(below, weight, g0._w), default=0)",
-        "mu = min(_key_weights(below, weight, g0._w), default=0)",
+        "src/diagvar/polyring.py",
+        "mu = max(weigh(base), default=0)",
+        "mu = min(weigh(base), default=0)",
         (
             "tests/test_fpurity.py::test_pruned_check_fpure_agrees_with_the_unweighted_check",
             "tests/test_fpurity.py::test_weight_changes_no_verdict_on_the_killed_P",
+        ),
+    ),
+    Mutant(
+        "pow_capped-floor-one-mu-high",
+        "src/diagvar/polyring.py",
+        "            floor = top - k * mu\n",
+        "            floor = top - (k - 1) * mu\n",
+        (
+            "tests/test_polyring.py::test_floored_power_keeps_every_contribution",
+            "tests/test_polyring_properties.py::test_pow_capped_with_a_floor_keeps_the_power_above_it",
         ),
     ),
     Mutant(
@@ -101,11 +111,21 @@ MUTANTS = (
     Mutant(
         "lemma2-corner-at-the-block-diagonal",
         "src/diagvar/diagvariety.py",
-        "X0._char_poly(var(n, n), force)",
-        "X0._char_poly(var(n - 1, n - 1), force)",
+        "X0._char_poly(var(n, n))",
+        "X0._char_poly(var(n - 1, n - 1))",
         (
             "tests/test_diagvariety.py::test_block_factorization_n2",
             "tests/test_diagvariety.py::test_block_factorization_matches_independent_expansion_n3",
+        ),
+    ),
+    Mutant(
+        "compute_P-specialized-guard-forced",
+        "src/diagvar/diagvariety.py",
+        "    _specialized_guard(M.n, force)\n",
+        "    _specialized_guard(M.n, True)\n",
+        (
+            "tests/test_diagvariety.py::test_p_guard_on_a_specialized_n8_matrix_comes_before_any_work",
+            "tests/test_diagvariety.py::test_specialized_guard_names_the_shared_budget",
         ),
     ),
     Mutant(
@@ -168,6 +188,16 @@ MUTANTS = (
         "repeat(1 << (8 * j))",
         "repeat(1)",
         ("tests/test_polyring_properties.py::test_degrees_match_tuple_sums",),
+    ),
+    Mutant(
+        "det-bound-row-filter-inverted",
+        "src/diagvar/polymatrix.py",
+        "if not (k + add) & flag}",
+        "if (k + add) & flag}",
+        (
+            "tests/test_diagvariety.py::test_antidiag_coeff_small_values",
+            "tests/test_polyring_properties.py::test_bounded_determinant_is_the_determinant_restricted",
+        ),
     ),
     Mutant(
         "det-level-not-reduced",
@@ -243,8 +273,8 @@ MUTANTS = (
     Mutant(
         "diag-of-powers-walk-off-by-one",
         "src/diagvar/intlattice.py",
-        "while e < exponents[j]:",
-        "while e <= exponents[j]:",
+        "        power = power * A\n        cols.append(power.diagonal())\n",
+        "        cols.append(power.diagonal())\n        power = power * A\n",
         (
             "tests/test_intlattice.py::test_diag_of_powers_matrix_columns",
             "tests/test_diagvariety.py::test_sop_normal_form_displayed_values",
