@@ -20,15 +20,18 @@ from .polymatrix import polymatrix_from_json
 from .polyring import GF, format_poly
 
 SUITE_CHECKS = tuple(WINDOWS)
-DEFAULT_PRIMES = (2, 3, 5)
 SPEC_LABELS = {"s": "kill_s", "s0": "kill_s0"}
 # the cells a check runs at one n, as (keyword, values); fedder's values are
-# the selected primes
-VARIANTS = {"lemma2": ("mode", diagvariety.TILDE_MODES), "antidiag": ("spec", tuple(SPEC_LABELS))}
+# the suite's default --primes, which replace them
+VARIANTS = {
+    "lemma2": ("mode", diagvariety.TILDE_MODES),
+    "antidiag": ("spec", tuple(SPEC_LABELS)),
+    "fedder": ("p", (2, 3, 5)),
+}
 
 
-def load_matrix(path: str, kind: str):
-    """Load a matrix JSON file; kind is 'poly' or 'int'."""
+def load_matrix(path: str, reader):
+    """Load a matrix JSON file through reader, one of the *_from_json loaders."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -36,11 +39,7 @@ def load_matrix(path: str, kind: str):
         raise DiagvarError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise DiagvarError(f"{path}: invalid JSON: {e}") from e
-    if kind == "poly":
-        return polymatrix_from_json(obj)
-    if kind == "int":
-        return intlattice.intmatrix_from_json(obj)
-    raise ValueError(f"unknown matrix kind {kind!r}")
+    return reader(obj)
 
 
 def _record(check: str, n=None, p=None, passed=True, detail=None, force=False) -> dict:
@@ -92,6 +91,7 @@ def cell_sop(n: int, force: bool = False) -> dict:
 
 
 def cell_fedder(n: int, p: int, force: bool = False) -> dict:
+    GF(p)  # validates primality
     verdict = diagvariety.check_fpure(n, p, force=force)
     detail = {
         "fpure": verdict.fpure,
@@ -140,18 +140,25 @@ _CELL_FUNCS = {
 }
 
 
+def _cell(check: str, n: int, key, v, force: bool = False) -> tuple:
+    kwargs = {"n": n} if key is None else {"n": n, key: v}
+    return check, dict(kwargs, force=True) if force else kwargs
+
+
 def _suite_cells(max_n: int, primes, checks) -> list:
     """Every cell of the selected checks inside its window, up to max_n."""
-    variants = dict(VARIANTS, fedder=("p", primes))
+    # run in WINDOWS order and sort the report afterwards: the run order sets the peak RSS
     cells = []
     for check, w in WINDOWS.items():
         if check not in checks:
             continue
-        key, values = variants.get(check, (None, (None,)))
+        key, values = VARIANTS.get(check, (None, (None,)))
+        if key == "p":
+            values = primes
         for n in range(w.lo, min(max_n, w.hi) + 1):
             for v in values:
                 if (n, v) not in w.skipped:
-                    cells.append((check, {"n": n} if key is None else {"n": n, key: v}))
+                    cells.append(_cell(check, n, key, v))
     return cells
 
 
@@ -183,12 +190,22 @@ def _run_cells(cells) -> list:
 # -- command handlers ----------------------------------------------------------
 
 
+def _handle_check(args) -> list:
+    """The cells of args.command at --n, run serially: the variant chosen on
+    the command line, or every variant of the check."""
+    key, values = VARIANTS.get(args.command, (None, (None,)))
+    chosen = vars(args).get(key)
+    if chosen is not None:
+        values = (chosen,)
+    return [_run_cell(_cell(args.command, args.n, key, v, args.force)) for v in values]
+
+
 def _handle_pofx(args) -> list:
     if args.mode and not args.spec:
         raise DiagvarError("--mode needs --spec tilde")
     if not (args.matrix or args.spec):
-        return [cell_pofx(args.n, force=args.force)]
-    M = load_matrix(args.matrix, "poly") if args.matrix else diagvariety.generic_matrix(args.n)
+        return _handle_check(args)
+    M = load_matrix(args.matrix, polymatrix_from_json) if args.matrix else diagvariety.generic_matrix(args.n)
     detail = {}
     if args.spec:
         spec = diagvariety.build_specialization(M.n, SPEC_LABELS.get(args.spec, args.spec), args.mode)
@@ -199,37 +216,10 @@ def _handle_pofx(args) -> list:
     return [_record("pofx", n=M.n, detail=detail, force=args.force)]
 
 
-def _handle_lemma2(args) -> list:
-    modes = [args.mode] if args.mode else VARIANTS["lemma2"][1]
-    return [cell_lemma2(args.n, mode, force=args.force) for mode in modes]
-
-
-def _handle_induction(args) -> list:
-    return [cell_induction(args.n, force=args.force)]
-
-
-def _handle_antidiag(args) -> list:
-    specs = [args.spec] if args.spec else VARIANTS["antidiag"][1]
-    return [cell_antidiag(args.n, spec, force=args.force) for spec in specs]
-
-
-def _handle_sop(args) -> list:
-    return [cell_sop(args.n, force=args.force)]
-
-
-def _handle_fedder(args) -> list:
-    GF(args.p)  # validates primality
-    return [cell_fedder(args.n, args.p, force=args.force)]
-
-
 def _handle_lemma4(args) -> list:
     if args.matrix:
-        return [_lemma4_record(load_matrix(args.matrix, "int"), args.force)]
-    return [cell_lemma4(args.n, force=args.force)]
-
-
-def _handle_lemma5(args) -> list:
-    return [cell_lemma5(args.n, force=args.force)]
+        return [_lemma4_record(load_matrix(args.matrix, intlattice.intmatrix_from_json), args.force)]
+    return _handle_check(args)
 
 
 def _record_key(r: dict):
@@ -343,6 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
             else:
                 p.add_argument("--n", type=int, required=True, help=n_help)
             p.add_argument("--force", action="store_true", help="override size guards (marked in the report)")
+        p.set_defaults(handler=_handle_check)
         return p
 
     p = add(
@@ -358,21 +349,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("lemma2", "verify the corner-block factorization of P")
     p.add_argument("--mode", choices=diagvariety.TILDE_MODES)
-    p.set_defaults(handler=_handle_lemma2)
 
-    p = add("induction", "verify the anti-diagonal peeling identity")
-    p.set_defaults(handler=_handle_induction)
+    add("induction", "verify the anti-diagonal peeling identity")
 
     p = add("antidiag", "coefficient of the above-anti-diagonal monomial in specialized P")
     p.add_argument("--spec", choices=VARIANTS["antidiag"][1])
-    p.set_defaults(handler=_handle_antidiag)
 
-    p = add("sop", "normal form of P under the system-of-parameters specialization")
-    p.set_defaults(handler=_handle_sop)
+    add("sop", "normal form of P under the system-of-parameters specialization")
 
     p = add("fedder", "F-purity of the killed hypersurface over F_p")
     p.add_argument("--p", type=int, required=True)
-    p.set_defaults(handler=_handle_fedder)
 
     p = add(
         "lemma4",
@@ -383,12 +369,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_handle_lemma4)
 
-    p = add("lemma5", "closed forms for the inverse of the anti-triangular ones matrix")
-    p.set_defaults(handler=_handle_lemma5)
+    add("lemma5", "closed forms for the inverse of the anti-triangular ones matrix")
 
     p = add("suite", "run every check over its window, up to --max-n")
     p.add_argument("--max-n", type=int, default=4, dest="max_n")
-    p.add_argument("--primes", default=",".join(str(q) for q in DEFAULT_PRIMES))
+    p.add_argument("--primes", default=",".join(map(str, VARIANTS["fedder"][1])))
     windows = "; ".join(f"{c} {describe(c)}" for c in WINDOWS)
     p.add_argument("--checks", default=None, help=f"comma list; default all checks. Windows: {windows}")
     p.set_defaults(handler=_handle_suite)

@@ -49,11 +49,9 @@ class Specialization:
     are built (equivalent to substituting into P afterwards, but far smaller
     intermediates)."""
 
-    __slots__ = ("label", "mode", "assignments")
+    __slots__ = ("assignments",)
 
-    def __init__(self, label: str, assignments: Mapping[str, MvPolynomial], mode: str | None = None):
-        self.label = label
-        self.mode = mode
+    def __init__(self, assignments: Mapping[str, MvPolynomial]):
         self.assignments = dict(assignments)
 
     def apply_to_matrix(self, M: PolyMatrix) -> PolyMatrix:
@@ -61,10 +59,6 @@ class Specialization:
         domain, so the assignments are checked against M once."""
         reps = M.rows[0][0]._replacements(self.assignments)
         return M.map_entries(lambda f: f._substitute(reps))
-
-    def __repr__(self):
-        mode = f", mode={self.mode!r}" if self.mode else ""
-        return f"Specialization({self.label!r}{mode}, {len(self.assignments)} assignments)"
 
 
 def build_specialization(n: int, label: str, mode: str | None = None, dom: Domain = ZZ) -> Specialization:
@@ -107,7 +101,7 @@ def build_specialization(n: int, label: str, mode: str | None = None, dom: Domai
                     asg[var(i, j)] = x11
     else:
         raise ValueError(f"unknown specialization label {label!r}")
-    return Specialization(label, asg, mode)
+    return Specialization(asg)
 
 
 def generic_matrix(n: int) -> PolyMatrix:

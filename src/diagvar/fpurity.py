@@ -7,7 +7,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .errors import ContextError, DomainError
+from .errors import ContextError
 from .polyring import GF, MvPolynomial
 
 __all__ = ["FedderVerdict", "fedder_check"]
@@ -21,15 +21,6 @@ class FedderVerdict(NamedTuple):
     witness: tuple | None
     p: int
     var_count: int
-
-
-def _as_modp(f: MvPolynomial, p: int) -> MvPolynomial:
-    dom = GF(p)
-    if f.dom == dom:
-        return f
-    if f.dom.is_modp:
-        raise DomainError(f"polynomial lives over GF({f.dom.p}), expected GF({p}) or Z")
-    return f.with_domain(dom)
 
 
 def fedder_check(f: MvPolynomial, p: int, weight: Sequence[int] | None = None) -> FedderVerdict:
@@ -53,7 +44,7 @@ def fedder_check(f: MvPolynomial, p: int, weight: Sequence[int] | None = None) -
     nvars = len(f.ctx)
     if weight is not None and len(weight) != nvars:
         raise ContextError("weight length does not match context arity")
-    g0 = _as_modp(f, p)
+    g0 = f.with_domain(GF(p))
     if not g0:
         return FedderVerdict(False, None, p, nvars)
     if p > 2 and g0.homogeneous_degree() == nvars:

@@ -55,9 +55,6 @@ class IntMatrix:
     def diagonal(self) -> tuple:
         return tuple(self.rows[i][i] for i in range(self.n))
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix([[self.rows[j][i] for j in range(self.n)] for i in range(self.n)])
-
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.rows == other.rows
 
@@ -155,7 +152,7 @@ def diag_of_powers_matrix(A: IntMatrix) -> IntMatrix:
     for _ in range(A.n - 1):
         power = power * A
         cols.append(power.diagonal())
-    return IntMatrix(cols).transpose()
+    return IntMatrix(zip(*cols))
 
 
 def _xgcd(a: int, b: int):
@@ -353,6 +350,8 @@ def intmatrix_from_json(obj) -> IntMatrix:
         entries = obj["entries"]
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"malformed matrix JSON: {e}") from e
+    if isinstance(obj["n"], (bool, float)):
+        raise SchemaError(f"matrix size must be an integer, got {obj['n']!r}")
     if n < 1:
         raise SchemaError(f"matrix size must be positive, got {n}")
     if not isinstance(entries, list) or len(entries) != n:

@@ -177,6 +177,8 @@ def polymatrix_from_json(obj) -> PolyMatrix:
         entries = obj["entries"]
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"malformed matrix JSON: {e}") from e
+    if isinstance(obj["n"], (bool, float)):
+        raise SchemaError(f"matrix size must be an integer, got {obj['n']!r}")
     if n < 1:
         raise SchemaError(f"matrix size must be positive, got {n}")
     if not isinstance(entries, list) or len(entries) != n:

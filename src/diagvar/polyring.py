@@ -10,10 +10,11 @@ exponent bound would pass its operands' field re-packs them at the wider
 width.  A product then runs one of two loops, picked by its exponent bound
 alone: a product capped below its field's limit tests each key against the
 cap with a mask, and every other product runs a loop without that test.
-A total degree is its key modulo 2**w - 1 (past a bound, the key's byte
-sum).  Exponent tuples are built only at the API boundary: `terms` and
-`coefficient`; formatting reads each key's bytes.  A change of
-context moves each key by a byte gather.
+A total degree is its key modulo 2**w - 1 (past a bound, its unit-weight
+`_key_weights` sum).  Exponent tuples are packed by `__init__`, `_key` and
+`mul_coefficient`, unpacked by `terms`, and repacked by `_at` to widen a
+field; formatting reads each key's bytes.  A change of context moves each
+key by a byte gather.
 
 Coefficients are Python ints, so integer arithmetic never overflows; mod-p
 coefficients are kept as canonical representatives in [0, p).
@@ -353,25 +354,12 @@ class MvPolynomial:
         key % (2**w - 1) whenever every degree is below 2**w - 1.  Two
         bounds can show that: arity * e, and the degree of the OR of all
         keys, as a field of the OR is at least the field's largest
-        exponent.  Past both, it is the sum of the key's bytes, byte j of a
-        field weighing 256**j."""
+        exponent.  Past both, it is the key's weight under unit weights."""
         m = (1 << self._w) - 1
-        if len(self.ctx) * self._e < m or max(self._byte_sums([reduce(operator.or_, self._t, 0)])) < m:
+        ones = (1,) * len(self.ctx)
+        if len(self.ctx) * self._e < m or _key_weights([reduce(operator.or_, self._t, 0)], ones, self._w)[0] < m:
             return map(operator.mod, self._t, repeat(m))
-        return self._byte_sums(self._t)
-
-    def _byte_sums(self, keys):
-        # the degrees of packed keys of this width; keys is iterated once
-        # per byte of a field
-        step = self._w // 8
-        size = step * len(self.ctx)
-
-        def weighted_byte_sums(j: int):
-            packed = map(int.to_bytes, keys, repeat(size), repeat("little"))
-            byte_j = map(operator.itemgetter(slice(j, None, step)), packed)
-            return map(operator.mul, map(sum, byte_j), repeat(1 << (8 * j)))
-
-        return reduce(partial(map, operator.add), map(weighted_byte_sums, range(step)))
+        return _key_weights(self._t, ones, self._w)
 
     def total_degree(self) -> int:
         if not self._t:
@@ -632,7 +620,7 @@ class MvPolynomial:
         if dom == self.dom:
             return self
         if self.dom.is_modp:
-            raise DomainError("cannot convert coefficients out of a prime field")
+            raise DomainError(f"cannot convert coefficients from {self.dom!r} to {dom!r}")
         # a copy: with_context shares key dicts between polynomials
         terms = _reduce_in_place(dict(self._t), dom.p)
         return MvPolynomial._raw(self.ctx, dom, terms, self._e, self._w)

@@ -64,6 +64,49 @@ def test_lemma2_runs_all_modes_by_default(capsys):
     assert all(r["pass"] for r in records)
 
 
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        pytest.param(["lemma2", "--n", "3", "--mode", "row"], "mode", "row", id="lemma2-row"),
+        pytest.param(["antidiag", "--n", "3", "--spec", "s0"], "spec", "s0", id="antidiag-s0"),
+    ],
+)
+def test_a_chosen_variant_runs_alone(capsys, argv, key, value):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    (record,) = json.loads(out)
+    assert record["detail"][key] == value
+    assert record["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "check, n, extra",
+    [
+        ("pofx", 3, []),
+        ("lemma2", 3, []),
+        ("lemma2", 3, ["--mode", "both"]),
+        ("induction", 4, []),
+        ("antidiag", 4, []),
+        ("antidiag", 4, ["--spec", "s"]),
+        ("sop", 4, []),
+        ("fedder", 3, ["--p", "3"]),
+        ("lemma4", 4, []),
+        ("lemma5", 4, []),
+    ],
+)
+def test_single_command_records_equal_the_suites(capsys, check, n, extra):
+    _, suite, _ = run(capsys, "suite", "--max-n", str(n), "--primes", "2,3", "--checks", check, "--format", "json")
+    code, out, _ = run(capsys, check, "--n", str(n), *extra, "--format", "json")
+    assert code == 0
+    records = json.loads(out)
+    assert records
+    key = {"lemma2": "mode", "antidiag": "spec"}.get(check)
+    expected = [r for r in json.loads(suite) if r["n"] == n and (check != "fedder" or r["p"] == 3)]
+    if extra and key:
+        expected = [r for r in expected if r["detail"][key] == extra[1]]
+    assert sorted(records, key=json.dumps) == sorted(expected, key=json.dumps)
+
+
 def test_antidiag_both_specs(capsys):
     code, out, _ = run(capsys, "antidiag", "--n", "3", "--format", "json")
     assert code == 0
@@ -245,6 +288,15 @@ def test_load_matrix_ragged_names_row(tmp_path, capsys):
     code, _, err = run(capsys, "lemma4", "--matrix", str(path))
     assert code == 2
     assert "row 2" in err
+
+
+@pytest.mark.parametrize("n", [2.7, True], ids=["float", "bool"])
+def test_load_int_matrix_rejects_a_non_integer_size(tmp_path, capsys, n):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": n, "entries": [[1, 1], [1, 0]]}))
+    code, out, err = run(capsys, "lemma4", "--matrix", str(path))
+    assert (code, out) == (2, "")
+    assert "must be an integer" in err
 
 
 def test_load_poly_matrix_unknown_variable(tmp_path, capsys):

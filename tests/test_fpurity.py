@@ -44,7 +44,7 @@ def test_fedder_rejects_zero():
 
 
 def test_fedder_rejects_wrong_field():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"from GF\(3\) to GF\(5\)"):
         fedder_check(P("x_1_1", GF(3)), 5)
 
 

@@ -217,6 +217,13 @@ def test_matrix_json_ragged_row_names_row():
         polymatrix_from_json({"n": 2, "entries": [["0", "0"], ["0"]]})
 
 
+@pytest.mark.parametrize("n", [2.7, 2.0, True], ids=["float", "integral-float", "bool"])
+def test_matrix_json_rejects_a_non_integer_size(n):
+    # int() would read 2.7 as 2 and true as 1
+    with pytest.raises(SchemaError, match="must be an integer"):
+        polymatrix_from_json({"n": n, "entries": [["x_1_1", "0"], ["0", "x_2_2"]]})
+
+
 def test_matrix_json_unknown_variable_names_position():
     with pytest.raises(SchemaError, match="row 1, column 1"):
         polymatrix_from_json({"n": 2, "entries": [["x_3_3", "0"], ["0", "0"]]})

@@ -168,8 +168,8 @@ MUTANTS = (
     Mutant(
         "degree-or-bound-inclusive",
         "src/diagvar/polyring.py",
-        "reduce(operator.or_, self._t, 0)])) < m:",
-        "reduce(operator.or_, self._t, 0)])) <= m:",
+        "ones, self._w)[0] < m:",
+        "ones, self._w)[0] <= m:",
         (
             "tests/test_polyring.py::test_degree_past_the_per_variable_bound",
             "tests/test_polyring_properties.py::test_degrees_match_tuple_sums",
@@ -185,8 +185,8 @@ MUTANTS = (
     Mutant(
         "degree-fallback-byte-weights-dropped",
         "src/diagvar/polyring.py",
-        "repeat(1 << (8 * j))",
-        "repeat(1)",
+        "byte_weights = [c << (8 * j) for c in weight for j in range(step)]",
+        "byte_weights = [c for c in weight for j in range(step)]",
         ("tests/test_polyring_properties.py::test_degrees_match_tuple_sums",),
     ),
     Mutant(
@@ -239,6 +239,16 @@ MUTANTS = (
         "_reduce_in_place(dict(self._t), dom.p)",
         "_reduce_in_place(self._t, dom.p)",
         ("tests/test_polyring.py::test_with_domain_reduces_mod_p",),
+    ),
+    Mutant(
+        "cli-chosen-variant-ignored",
+        "src/diagvar/cli.py",
+        "    if chosen is not None:\n",
+        "    if False:\n",
+        (
+            "tests/test_cli.py::test_a_chosen_variant_runs_alone",
+            "tests/test_cli.py::test_single_command_records_equal_the_suites",
+        ),
     ),
     Mutant(
         "int-det-no-sign-flip-on-row-swap",
