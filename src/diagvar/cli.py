@@ -251,7 +251,10 @@ def _parse_primes(text: str) -> list:
         part = part.strip()
         if not part:
             continue
-        p = int(part)
+        try:
+            p = int(part)
+        except ValueError:
+            raise DiagvarError(f"--primes: {part!r} is not an integer") from None
         GF(p)  # validates primality
         out.append(p)
     if not out:

@@ -19,7 +19,7 @@ from . import intlattice
 from .errors import NormalFormError, SizeGuardError
 from .fpurity import FedderVerdict, fedder_check
 from .guards import guard
-from .polymatrix import PolyMatrix
+from .polymatrix import PolyMatrix, _char_polys
 from .polyring import GF, ZZ, Domain, MvPolynomial, VarContext
 
 __all__ = [
@@ -167,25 +167,20 @@ def _c_matrix(M: PolyMatrix) -> PolyMatrix:
     ctx, dom = M.ctx, M.dom
     if n == 1:
         return PolyMatrix([[MvPolynomial.one(ctx, dom)]])
-    # a variable no entry can use: t unless the context already has one
-    name = "t"
-    while name in ctx:
-        name = "_" + name
+    # t is the field above the context's, which no entry can use, so a
+    # key's t-degree is its bits above the context's fields
+    w, cps = _char_polys(M.rows, len(ctx), dom.p, [[i for i in range(n) if i != k] for k in range(n)])
+    shift = w * len(ctx)
+    low = (1 << shift) - 1
     emax = max(f._e for row in M.rows for f in row)
     C = [[None] * n for _ in range(n)]
-    for k in range(n):
-        keep = [i for i in range(n) if i != k]
-        cp = PolyMatrix([[M.rows[i][j] for j in keep] for i in keep])._char_poly(name)
-        # the appended variable is the top field, so a key's t-degree is
-        # its bits above the context's fields
-        shift = cp._w * len(ctx)
-        low = (1 << shift) - 1
+    for k, (terms, e) in enumerate(cps):
         by_degree: dict = {}
-        for key, c in cp._t.items():
+        for key, c in terms.items():
             by_degree.setdefault(key >> shift, {})[key & low] = c
         for r in range(n):
             # a t^(n-1-r) coefficient is a sum of products of r entries
-            C[r][k] = MvPolynomial._raw(ctx, dom, by_degree.get(n - 1 - r, {}), min(cp._e, r * emax), cp._w)
+            C[r][k] = MvPolynomial._raw(ctx, dom, by_degree.get(n - 1 - r, {}), min(e, r * emax), w)
     return PolyMatrix(C)
 
 

@@ -7,8 +7,9 @@ every cell inside it, and `diagvar <cmd> --help` prints it.  Budgets that
 limit one layer on any input stay with the public function they limit, which
 checks its budget once: `PolyMatrix.det` and `char_poly`, `diag_matrix` and
 `compute_P`, `int_det`, `power_diagonal_check`.  The internal routes under
-them (`_det`, `_char_poly`, `_c_matrix`) check nothing, as every window and
-the specialized budget lie within the layer budgets.
+them (`_det`, `_char_poly`, `_c_matrix`, and the packed `_char_polys` the
+last two share) check nothing, as every window and the specialized budget
+lie within the layer budgets.
 """
 
 from __future__ import annotations

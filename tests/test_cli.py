@@ -192,6 +192,15 @@ def test_suite_rejects_fedder_prime_outside_table(capsys):
     assert "got 11" in err
 
 
+@pytest.mark.parametrize("primes, bad", [("2,x", "'x'"), ("2.5", "'2.5'"), ("3, ,z7", "'z7'")])
+def test_suite_rejects_a_non_integer_prime(capsys, primes, bad):
+    code, out, err = run(capsys, "suite", "--primes", primes)
+    assert code == 2
+    assert out == ""
+    assert "--primes" in err and bad in err
+    assert "invalid literal" not in err
+
+
 def test_suite_small_all_pass(capsys):
     code, out, _ = run(
         capsys, "suite", "--max-n", "3", "--primes", "2,3", "--format", "json"

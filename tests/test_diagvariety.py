@@ -18,7 +18,7 @@ from diagvar.diagvariety import (
     verify_block_factorization,
     verify_peeling_identity,
 )
-from diagvar import diagvariety
+from diagvar import diagvariety, polymatrix
 from diagvar.errors import ContextError, DomainError, NormalFormError, SizeGuardError
 from diagvar.intlattice import antidiagonal_ones, power_diagonal_check
 from diagvar.polymatrix import CHAR_POLY_GUARD, DET_GUARD, PolyMatrix, polymatrix_from_json
@@ -209,6 +209,7 @@ def test_p_guard_on_a_specialized_n8_matrix_comes_before_any_work(monkeypatch):
         raise AssertionError("a determinant was started")
 
     monkeypatch.setattr(PolyMatrix, "_det", no_work)
+    monkeypatch.setattr(polymatrix, "_subset_det", no_work)
     with pytest.raises(SizeGuardError, match="n <= 7, got 8"):
         compute_P(M)
 
@@ -221,10 +222,28 @@ def test_p_generic_n5_matches_the_determinant_of_d():
     assert P == diag_matrix(X).det()
 
 
+def test_killed_determinant_forms_only_completable_minors(monkeypatch):
+    # the last row of the killed matrix is zero, so C[n-1][k] = 0 for
+    # k < n - 1 and only one minor on the top n - 1 rows can be completed;
+    # forming all n of them, the DP would form 14,420 term pairs at n = 6
+    M = specialized(6, "kill_s")
+    P = diag_matrix(M).det()
+    C = diagvariety._c_matrix(M)
+    pairs = []
+
+    def counted(out, ta, tb, *args, inner=polymatrix._mul_into):
+        pairs.append(len(ta) * len(tb))
+        return inner(out, ta, tb, *args)
+
+    monkeypatch.setattr(polymatrix, "_mul_into", counted)
+    assert C._det(None) == P
+    assert sum(pairs) == 3742
+
+
 @pytest.mark.parametrize("dom", [ZZ, GF(2), GF(3)], ids=repr)
 def test_p_matches_the_permutation_expansion_of_d_on_random_entries(dom):
-    # the context holds t and _t, so compute_P must pick a third name for
-    # its characteristic polynomials
+    # the context holds t and _t: compute_P's characteristic polynomials
+    # take their variable from the field above the context, not by name
     ctx = VarContext(["t", "_t", "x_1_1"])
     rng = random.Random(2031 + (dom.p or 0))
     for n in (1, 2, 3, 4):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from diagvar import cli, diagvariety
+from diagvar import cli, diagvariety, polymatrix
 from diagvar.diagvariety import (
     SPECIALIZED_GUARD,
     antidiag_unit_coeff,
@@ -65,15 +65,22 @@ def test_guard_passes_inside_window_and_when_forced():
 def test_windows_keep_the_internal_routes_within_the_layer_budgets(monkeypatch):
     # _det, _char_poly and _c_matrix check no budget of their own; every
     # unforced cell at its window's top, and compute_P at its own budget,
-    # must keep the sizes they reach within the det and char_poly budgets
+    # must keep the sizes they reach within the det and char_poly budgets.
+    # Both _char_poly and _c_matrix expand their characteristic polynomials
+    # through the packed route _char_polys, so the sizes are recorded there
     sizes = {"_det": set(), "_char_poly": set()}
-    for name, seen in sizes.items():
 
-        def record(self, *args, inner=getattr(PolyMatrix, name), seen=seen):
-            seen.add(self.n)
-            return inner(self, *args)
+    def record_det(self, *args, inner=PolyMatrix._det):
+        sizes["_det"].add(self.n)
+        return inner(self, *args)
 
-        monkeypatch.setattr(PolyMatrix, name, record)
+    def record_char_polys(rows, ti, p, subsets, inner=polymatrix._char_polys):
+        sizes["_char_poly"].update(len(s) for s in subsets)
+        return inner(rows, ti, p, subsets)
+
+    monkeypatch.setattr(PolyMatrix, "_det", record_det)
+    monkeypatch.setattr(polymatrix, "_char_polys", record_char_polys)
+    monkeypatch.setattr(diagvariety, "_char_polys", record_char_polys)
     # the fedder cells build the killed P afresh, not from the cache
     monkeypatch.setattr(diagvariety, "_killed_P", diagvariety._killed_P.__wrapped__)
     monkeypatch.setattr(diagvariety, "_killed_survivors", diagvariety._killed_survivors.__wrapped__)

@@ -276,3 +276,68 @@ def test_with_context_matches_the_tuple_oracle(source, target, dom, data):
 def test_variables_used_matches_tuple_reads(terms):
     f = MvPolynomial(CTX, ZZ, terms)
     assert f.variables_used() == {name for m in f.terms for name, e in zip(CTX.names, m) if e}
+
+
+# zero patterns for the determinant's live-minor pruning: a minor is formed
+# only when the rows below it can fill its remaining columns through nonzero
+# entries, so supports with zero rows and columns, supports that no
+# permutation fills (k rows inside k - 1 columns), and the killed shapes
+# (zero at i + j >= n - 1 or i + j >= n, 0-based) must all leave the
+# determinant as the permutation expansion gives it
+SHAPES = ("random", "zero row", "zero column", "singular", "kill_s", "kill_s0")
+
+
+@st.composite
+def supported_matrices(draw, dom, max_n, exponents=st.integers(0, 3)):
+    n = draw(st.integers(1, max_n))
+    shape = draw(st.sampled_from(SHAPES))
+    keep = [[True] * n for _ in range(n)]
+    if shape == "random":
+        keep = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), min_size=n, max_size=n))
+    elif shape in ("zero row", "zero column"):
+        z = draw(st.integers(0, n - 1))
+        keep = [[(i if shape == "zero row" else j) != z for j in range(n)] for i in range(n)]
+    elif shape == "singular" and n > 1:
+        k = draw(st.integers(2, n))
+        rows = draw(st.permutations(range(n)))[:k]
+        cols = draw(st.permutations(range(n)))[: k - 1]
+        keep = [[i not in rows or j in cols for j in range(n)] for i in range(n)]
+    elif shape in ("kill_s", "kill_s0"):
+        edge = n - 1 if shape == "kill_s" else n
+        keep = [[i + j < edge for j in range(n)] for i in range(n)]
+    entry = polys(dom, st.integers(-30, 30), max_terms=2, monomials=st.tuples(*[exponents] * len(CTX)))
+    zero = MvPolynomial.zero(CTX, dom)
+    return PolyMatrix([[draw(entry) if keep[i][j] else zero for j in range(n)] for i in range(n)])
+
+
+@PROPERTY
+@given(st.sampled_from([ZZ, GF(7)]), st.data())
+def test_determinant_with_zero_patterns_matches_the_permutation_expansion(dom, data):
+    M = data.draw(supported_matrices(dom, 5, st.one_of(st.integers(0, 3), st.integers(126, 129))))
+    full = perm_det_poly(M.rows, CTX, dom)
+    assert M._det(None) == full
+    bound = data.draw(st.tuples(*[st.one_of(st.integers(0, 6), st.integers(124, 262))] * len(CTX)))
+    kept = {m: c for m, c in full.terms.items() if all(x <= b for x, b in zip(m, bound))}
+    assert M._det(bound) == MvPolynomial(CTX, dom, kept)
+
+
+def shifted_by_expansion(M: PolyMatrix, ctx: VarContext, name: str) -> MvPolynomial:
+    """det(name*I - M) by permutation expansion over ctx, the entries moved
+    into ctx by tuple rebuilding."""
+    t = MvPolynomial.variable(ctx, M.dom, name)
+    rows = [[tuple_with_context(f, ctx) for f in row] for row in M.rows]
+    shifted = [[t - f if i == j else -f for j, f in enumerate(row)] for i, row in enumerate(rows)]
+    return perm_det_poly(shifted, ctx, M.dom)
+
+
+@PROPERTY
+@given(st.sampled_from([ZZ, GF(7)]), st.data())
+def test_characteristic_polynomials_match_the_permutation_expansion(dom, data):
+    # char_poly appends t above the context; _char_poly also takes a
+    # variable the context already holds and no entry uses, as lemma2 takes
+    # x_n_n, here one that sits between the entries' fields
+    M = data.draw(supported_matrices(dom, 4))
+    assert M.char_poly() == shifted_by_expansion(M, CTX.with_var("t"), "t")
+    inner = VarContext(["a", "x_4_4", "b", "c"])
+    Mi = M.map_entries(lambda f: tuple_with_context(f, inner))
+    assert Mi._char_poly("x_4_4") == shifted_by_expansion(Mi, inner, "x_4_4")

@@ -87,6 +87,27 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "det-live-set-off-by-one",
+        "src/diagvar/polymatrix.py",
+        "rest = live[i + 1]",
+        "rest = live[i]",
+        (
+            "tests/test_polyring_properties.py::test_determinant_with_zero_patterns_matches_the_permutation_expansion",
+            "tests/test_polyring_properties.py::test_characteristic_polynomials_match_the_permutation_expansion",
+        ),
+    ),
+    Mutant(
+        "char-poly-t-sign",
+        "src/diagvar/polymatrix.py",
+        "terms[1 << (w * ti)] = 1",
+        "terms[1 << (w * ti)] = -1",
+        (
+            "tests/test_polyring_properties.py::test_characteristic_polynomials_match_the_permutation_expansion",
+            "tests/test_polymatrix.py::test_char_poly_single_variable",
+            "tests/test_diagvariety.py::test_p_generic_n2",
+        ),
+    ),
+    Mutant(
         "compute_P-t-coefficient-off-by-one",
         "src/diagvar/diagvariety.py",
         "by_degree.get(n - 1 - r, {})",
