@@ -56,9 +56,11 @@ class Specialization:
 
     def apply_to_matrix(self, M: PolyMatrix) -> PolyMatrix:
         """Each entry of M specialized.  The entries share one context and
-        domain, so the assignments are checked against M once."""
+        domain, so the assignments are checked against M once, and the mask
+        of the replaced fields is built once per field width."""
         reps = M.rows[0][0]._replacements(self.assignments)
-        return M.map_entries(lambda f: f._substitute(reps))
+        masks: dict = {}
+        return M.map_entries(lambda f: f._substitute(reps, masks))
 
 
 def build_specialization(n: int, label: str, mode: str | None = None, dom: Domain = ZZ) -> Specialization:

@@ -35,9 +35,16 @@ def fedder_check(f: MvPolynomial, p: int, weight: Sequence[int] | None = None) -
     An integer weight vector w (one entry per variable) changes only the
     speed of the half-power route, never the answer.  The half power is
     built with top w.t: `MvPolynomial.pow_capped` keeps every m whose
-    partner t - m is in h, both with their exact coefficients.  The p = 2
-    route and the inhomogeneous route ignore the weight, but every route
-    rejects one whose length is not the variable count.
+    partner t - m is in h, both with their exact coefficients.  With mu
+    the largest weight of a truncated term of f, a term m of f^k has
+    deficit k * mu - w.m, the sum of its k factors' deficits mu - w.b,
+    each >= 0; its partner t - m, a product of k terms too, weighs at most
+    k * mu, so m has deficit at most 2 * k * mu - w.t.  That bound holds
+    for every partial product on the way to m as well, since each
+    partial product's deficit is at most the final one's, so the power is
+    pruned by one bound at every level.  The p = 2 route and the
+    inhomogeneous route ignore the weight, but every route rejects one
+    whose length is not the variable count.
     """
     if not f:
         raise ValueError("zero polynomial")

@@ -26,7 +26,7 @@ import math
 import operator
 import re
 from collections.abc import Iterable, Mapping, Sequence
-from functools import partial, reduce
+from functools import reduce
 from itertools import compress, count, repeat
 
 from .errors import ContextError, DomainError, PolyParseError
@@ -475,13 +475,23 @@ class MvPolynomial:
         w.m >= floor = top - k * mu are returned, each with its exact
         coefficient; mu is the largest weight of a truncated base term.
         Every term m whose partner top - m is a term too lies there, as the
-        partner, a product of k base terms, weighs at most k * mu.  Each of
-        the k - j products still to come after product j adds at most mu, so
-        a term below floor - (k - j) * mu there cannot reach the floor, and
-        it is dropped at once (sound for every weight, as the cap is).  A
-        kept term keeps its exact coefficient: along each contribution to
-        it, the term after product i is at most (k - i) * mu below it, so
-        that term was kept too."""
+        partner, a product of k base terms, weighs at most k * mu.
+
+        The pruning reads one number per term, its deficit: mu - w.b for a
+        base term b, and for a product the sum of its factors' deficits, so
+        j * mu - w.m after j products.  A term of the power is kept exactly
+        when its deficit is at most dmax = k * mu - floor = 2 * k * mu - top.
+        Every factor's deficit is >= 0, so each partial product's deficit is
+        at most the final one's: a term past dmax after any product cannot
+        reach a kept term, and is dropped at once (sound for every weight,
+        as the cap is), while along each contribution to a kept term every
+        partial product was kept too, so the kept term keeps its exact
+        coefficient.  As the bound is the same at every level, the deficit
+        rides in one more packed field, the top one, above the exponents:
+        the key addition adds it, and the cap's mask tests it with a flag
+        bit 2**b > dmax, b the bit length of dmax.  Base terms past dmax go
+        before the first product, and the field is stripped from the
+        result."""
         if k < 0:
             raise ValueError("exponent must be non-negative")
         if cap is not None and cap < 1:
@@ -500,29 +510,35 @@ class MvPolynomial:
         if cap is not None:
             acc_e, out_e = min(acc_e, cap - 1), min(out_e, cap - 1)
         w = max(self._w, _width(acc_e + e))
-        masks = _bound_masks(None if cap is None else (cap - 1,) * len(self.ctx), w)
-        add, flag = masks
+        add, flag = _bound_masks(None if cap is None else (cap - 1,) * len(self.ctx), w)
         base = {key: c for key, c in self._at(w).items() if not (key + add) & flag}
         if weight is not None:
-            weigh = partial(_key_weights, weight=weight, w=w)
-            mu = max(weigh(base), default=0)
-            floor = top - k * mu
+            shift = w * len(self.ctx)
+            weights = _key_weights(base, weight, w)
+            mu = max(weights, default=0)
+            dmax = 2 * k * mu - top
+            if dmax < 0:
+                return MvPolynomial.zero(self.ctx, self.dom)
+            base = {key + ((mu - x) << shift): c for (key, c), x in zip(base.items(), weights) if mu - x <= dmax}
+            bit = 1 << dmax.bit_length()
+            add |= (bit - 1 - dmax) << shift
+            flag |= bit << shift
         p = self.dom.p
         acc: dict = {0: 1}
-        for j in range(1, k + 1):
+        for _ in range(k):
             out: dict = {}
-            _mul_into(out, acc, base, 1, masks)
+            _mul_into(out, acc, base, 1, (add, flag))
             acc = out  # frees the previous power before the reduction
             _reduce_in_place(acc, p)
-            if weight is not None:
-                low = floor - (k - j) * mu
-                acc = {key: c for (key, c), x in zip(acc.items(), weigh(acc)) if x >= low}
+        if weight is not None:
+            exps = (1 << shift) - 1
+            acc = {key & exps: c for key, c in acc.items()}
         return MvPolynomial._raw(self.ctx, self.dom, acc, out_e, w)
 
     def substitute(self, assignments: Mapping[str, "MvPolynomial"]) -> "MvPolynomial":
         """Simultaneous substitution of variables by polynomials
         (a ring homomorphism on this context)."""
-        return self._substitute(self._replacements(assignments))
+        return self._substitute(self._replacements(assignments), {})
 
     def _replacements(self, assignments: Mapping[str, "MvPolynomial"]) -> dict:
         """The assignments keyed by variable index, each checked against this
@@ -537,11 +553,15 @@ class MvPolynomial:
             reps[i] = g
         return reps
 
-    def _substitute(self, reps: dict) -> "MvPolynomial":
+    def _substitute(self, reps: dict, masks: dict) -> "MvPolynomial":
         """The substitution of checked replacements (see `_replacements`).
-        A polynomial using no replaced variable comes back as it is."""
+        A polynomial using no replaced variable comes back as it is.  masks
+        holds the mask of the replaced fields per width, made on first use,
+        so the polynomials of one matrix can share it."""
         w = self._w
-        touched = reduce(operator.or_, (((1 << w) - 1) << (w * i) for i in reps), 0)
+        touched = masks.get(w)
+        if touched is None:
+            touched = masks[w] = reduce(operator.or_, (((1 << w) - 1) << (w * i) for i in reps), 0)
         if not reduce(operator.or_, self._t, 0) & touched:
             return self
         # an exponent of the image is at most deg(self) * max(1, max e(g))

@@ -5,7 +5,15 @@ from itertools import permutations
 from diagvar.diagvariety import build_specialization, compute_P, generic_matrix
 from diagvar.errors import ContextError
 from diagvar.intlattice import IntMatrix
-from diagvar.polyring import GF, MvPolynomial
+from diagvar.polyring import (
+    GF,
+    MvPolynomial,
+    _bound_masks,
+    _key_weights,
+    _mul_into,
+    _reduce_in_place,
+    _width,
+)
 
 
 def perm_sign(perm) -> int:
@@ -126,6 +134,30 @@ def pow_then_delete(f: MvPolynomial, k: int, cap: int) -> MvPolynomial:
     for _ in range(k):
         power = tuple_product(power, f)
     return delete_high_exponents(power, cap)
+
+
+def floored_power_by_levels(f: MvPolynomial, k: int, cap: int | None, weight, top: int) -> MvPolynomial:
+    """f.pow_capped(k, cap, weight, top) by a floor per level: with mu the
+    largest weight of a base term below the cap and floor = top - k * mu,
+    every term of weight below floor - (k - j) * mu after product j of k
+    (j = 0 included) is dropped, each weight read off the packed key's
+    bytes by `_key_weights`."""
+    e = f._e if cap is None else min(f._e, cap - 1)
+    w = max(f._w, _width(k * e))
+    masks = _bound_masks(None if cap is None else (cap - 1,) * len(f.ctx), w)
+    add, flag = masks
+    base = {key: c for key, c in f._at(w).items() if not (key + add) & flag}
+    mu = max(_key_weights(base, weight, w), default=0)
+    floor = top - k * mu
+    acc = {0: 1}
+    for j in range(k + 1):
+        if j:
+            out: dict = {}
+            _mul_into(out, acc, base, 1, masks)
+            acc = _reduce_in_place(out, f.dom.p)
+        low = floor - (k - j) * mu
+        acc = {key: c for (key, c), x in zip(acc.items(), _key_weights(acc, weight, w)) if x >= low}
+    return MvPolynomial._raw(f.ctx, f.dom, acc, k * e, w)
 
 
 def frobenius_power_bruteforce(f: MvPolynomial, p: int) -> MvPolynomial:

@@ -315,6 +315,18 @@ def test_apply_to_matrix_returns_untouched_entries_as_they_are():
                 assert not Xs.rows[i][j]
 
 
+def test_apply_to_matrix_builds_the_mask_per_field_width():
+    # entries packed at 16 bits and at 8 share one specialization: the mask
+    # of the replaced fields made at one width must not be read at the other
+    ctx = VarContext.matrix(2)
+    entries = ["x_1_1^200 + x_2_2", "x_1_2", "x_2_1*x_2_2^300 + x_1_1^129", "x_1_1"]
+    rows = [[parse_poly(t, ctx, ZZ) for t in entries[:2]], [parse_poly(t, ctx, ZZ) for t in entries[2:]]]
+    spec = build_specialization(2, "kill_s")
+    got = spec.apply_to_matrix(PolyMatrix(rows))
+    assert [str(f) for row in got.rows for f in row] == ["x_1_1^200", "0", "x_1_1^129", "x_1_1"]
+    assert got.rows[1][1] is rows[1][1]
+
+
 def test_apply_to_matrix_checks_the_assignments_against_the_matrix():
     with pytest.raises(ContextError):
         build_specialization(3, "kill_s").apply_to_matrix(generic_matrix(4))

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from diagvar import polyring
 from diagvar.diagvariety import _killed_P, _killed_survivors, check_fpure, var
 from diagvar.errors import ContextError, DomainError
 from diagvar.fpurity import fedder_check
@@ -173,6 +174,36 @@ def test_pruned_check_fpure_agrees_with_the_unweighted_check():
     window = [(n, p) for n in range(w.lo, w.hi + 1) for p in w.primes if (n, p) not in w.skipped]
     for n, p in window + [(6, 2), (6, 3), (6, 5)]:
         assert check_fpure(n, p, force=True) == fedder_check(killed(n, p)[0], p), (n, p)
+
+
+def test_check_fpure_6_5_forms_two_term_pairs(monkeypatch):
+    # under -i*j every base term but the top one has a positive deficit and
+    # the bound is 0, so each of the two products pairs one term with one
+    # (2,414 pairs with a floor read per level)
+    _killed_survivors(6)
+    pairs = []
+    mul_into = polyring._mul_into
+
+    def counting(out, ta, tb, *rest):
+        pairs.append(len(ta) * len(tb))
+        return mul_into(out, ta, tb, *rest)
+
+    monkeypatch.setattr(polyring, "_mul_into", counting)
+    assert check_fpure(6, 5, force=True).fpure
+    assert 0 < sum(pairs) <= 2
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_half_power_of_the_killed_P_is_the_top_term_alone(n):
+    # m, the product of the survivors, is the unique top term of the killed
+    # P under -i*j, so the half power pruned by that weight is c^k * m^k
+    f, weight = _killed_survivors(n)
+    for p in (3, 5, 7):
+        k = (p - 1) // 2
+        h = f.with_domain(GF(p)).pow_capped(k, cap=p, weight=weight, top=(p - 1) * sum(weight))
+        ((m, c),) = h.terms.items()
+        assert m == (k,) * len(weight), (n, p)
+        assert c in (1, p - 1), (n, p)
 
 
 def test_check_fpure_6_7():

@@ -302,6 +302,22 @@ def test_floored_power_keeps_every_contribution():
     assert f.pow_capped(0, weight=weight, top=0) == MvPolynomial.one(CTX2, ZZ)
 
 
+def test_deficit_bound_keeps_a_term_at_it_and_drops_one_past_it():
+    # (x_1_1 + x_1_2)^2 under weight v on x_1_1: mu = v, and x_1_1^2,
+    # x_1_1*x_1_2 and x_1_2^2 have deficits 0, v and 2v; top = 4v - dmax
+    # sets the bound dmax.  At v = 128 and 300 the deficits need a field of
+    # two bytes, and 255 < 2v = 256 sits at the one-byte limit
+    square = {(2, 0, 0, 0): 1, (1, 1, 0, 0): 2, (0, 2, 0, 0): 1}
+    f = P("x_1_1 + x_1_2")
+    for v in (1, 128, 300):
+        deficit = {(2, 0, 0, 0): 0, (1, 1, 0, 0): v, (0, 2, 0, 0): 2 * v}
+        for d in sorted({0, 1, v, 2 * v}):
+            for dmax in (d - 1, d):
+                kept = {m: c for m, c in square.items() if deficit[m] <= dmax}
+                got = f.pow_capped(2, weight=[v, 0, 0, 0], top=4 * v - dmax)
+                assert got == MvPolynomial(CTX2, ZZ, kept), (v, dmax)
+
+
 def test_large_exponents_widen_the_field():
     f = P("x_1_1 + x_2_2")
     g = f.pow_capped(200)

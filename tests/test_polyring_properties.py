@@ -10,6 +10,7 @@ from diagvar.errors import ContextError
 from diagvar.polymatrix import PolyMatrix
 from diagvar.polyring import GF, ZZ, MvPolynomial, VarContext, _bound_masks, _mul_into, _reduce_in_place, format_poly
 from oracles import (
+    floored_power_by_levels,
     perm_det_poly,
     pow_then_delete,
     tuple_format_poly,
@@ -92,24 +93,37 @@ def weigh(weight, m):
     return sum(a * b for a, b in zip(weight, m))
 
 
+# weights of every sign, some wide enough that a deficit needs two bytes
+WEIGHTS = st.sampled_from((1, -2, 3, 0, -1, 2, -3, 300, -300, 129))
+# deficit bounds dmax = k * mu - floor: none kept, the top terms alone, and
+# bounds beside the one-byte and two-byte limits of the deficit field
+DEFICIT_BOUNDS = st.sampled_from((-2, -1, 0, 1, 127, 128, 255, 256, 600, 70000))
+
+
 @PROPERTY
 @given(st.sampled_from([ZZ, GF(7)]), st.sampled_from([0, 62, 126, 16382]), st.integers(0, 3), st.data())
 def test_pow_capped_with_a_floor_keeps_the_power_above_it(dom, offset, k, data):
     # the power with a top is the capped power restricted, by tuple
     # arithmetic, to the terms of weight >= floor = top - k * mu, mu the
-    # largest weight of a base term below the cap; weights of every sign,
-    # and floors drawn at and beside the weights the power's terms reach
+    # largest weight of a base term below the cap, and the per-level route
+    # gives it too; floors are drawn at and beside the weights the power's
+    # terms reach, or set by a deficit bound
     exps = st.one_of(st.integers(0, 2), st.integers(offset, offset + 3))
     f = data.draw(polys(dom, st.integers(-30, 30), monomials=st.tuples(exps, exps, exps), max_terms=4))
     cap = data.draw(st.one_of(st.integers(1, 6), st.integers(max(1, k * offset - 3), k * (offset + 3) + 3)))
-    weight = data.draw(st.tuples(*[st.sampled_from((1, -2, 3, 0, -1, 2, -3))] * len(CTX)))
+    weight = data.draw(st.tuples(*[WEIGHTS] * len(CTX)))
     full = pow_then_delete(f, k, cap)
-    # the top weights first: hypothesis tries the first entries most
-    reached = sorted({weigh(weight, m) for m in full.terms}, reverse=True)
-    floor = data.draw(st.sampled_from(reached) if reached else st.integers(-20, 20)) + data.draw(st.integers(-1, 1))
-    kept = {m: c for m, c in full.terms.items() if weigh(weight, m) >= floor}
     mu = max((weigh(weight, m) for m in f.terms if max(m) < cap), default=0)
-    assert f.pow_capped(k, cap=cap, weight=weight, top=floor + k * mu) == MvPolynomial(CTX, dom, kept)
+    if data.draw(st.booleans()):
+        floor = k * mu - data.draw(DEFICIT_BOUNDS)
+    else:
+        # the top weights first: hypothesis tries the first entries most
+        reached = sorted({weigh(weight, m) for m in full.terms}, reverse=True)
+        floor = data.draw(st.sampled_from(reached) if reached else st.integers(-20, 20)) + data.draw(st.integers(-1, 1))
+    kept = MvPolynomial(CTX, dom, {m: c for m, c in full.terms.items() if weigh(weight, m) >= floor})
+    top = floor + k * mu
+    assert f.pow_capped(k, cap=cap, weight=weight, top=top) == kept
+    assert floored_power_by_levels(f, k, cap, weight, top) == kept
 
 
 SUBST_MONOMIALS = st.tuples(st.integers(0, 70), st.one_of(st.integers(0, 3), st.integers(64, 70)), st.integers(0, 2))

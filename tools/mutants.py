@@ -59,8 +59,8 @@ MUTANTS = (
     Mutant(
         "fedder-mu-smallest-weight",
         "src/diagvar/polyring.py",
-        "mu = max(weigh(base), default=0)",
-        "mu = min(weigh(base), default=0)",
+        "mu = max(weights, default=0)",
+        "mu = min(weights, default=0)",
         (
             "tests/test_fpurity.py::test_pruned_check_fpure_agrees_with_the_unweighted_check",
             "tests/test_fpurity.py::test_weight_changes_no_verdict_on_the_killed_P",
@@ -69,10 +69,30 @@ MUTANTS = (
     Mutant(
         "pow_capped-floor-one-mu-high",
         "src/diagvar/polyring.py",
-        "            floor = top - k * mu\n",
-        "            floor = top - (k - 1) * mu\n",
+        "dmax = 2 * k * mu - top",
+        "dmax = (2 * k - 1) * mu - top",
         (
             "tests/test_polyring.py::test_floored_power_keeps_every_contribution",
+            "tests/test_polyring_properties.py::test_pow_capped_with_a_floor_keeps_the_power_above_it",
+        ),
+    ),
+    Mutant(
+        "pow_capped-deficit-bound-one-past",
+        "src/diagvar/polyring.py",
+        "dmax = 2 * k * mu - top",
+        "dmax = 2 * k * mu - top + 1",
+        (
+            "tests/test_polyring.py::test_deficit_bound_keeps_a_term_at_it_and_drops_one_past_it",
+            "tests/test_polyring_properties.py::test_pow_capped_with_a_floor_keeps_the_power_above_it",
+        ),
+    ),
+    Mutant(
+        "pow_capped-deficit-field-one-bit-narrow",
+        "src/diagvar/polyring.py",
+        "bit = 1 << dmax.bit_length()",
+        "bit = 1 << max(dmax.bit_length() - 1, 0)",
+        (
+            "tests/test_polyring.py::test_deficit_bound_keeps_a_term_at_it_and_drops_one_past_it",
             "tests/test_polyring_properties.py::test_pow_capped_with_a_floor_keeps_the_power_above_it",
         ),
     ),
@@ -243,6 +263,13 @@ MUTANTS = (
         "        if not reduce(operator.or_, self._t, 0) & touched:\n            return self\n",
         "",
         ("tests/test_diagvariety.py::test_apply_to_matrix_returns_untouched_entries_as_they_are",),
+    ),
+    Mutant(
+        "substitute-one-mask-for-every-width",
+        "src/diagvar/polyring.py",
+        "touched = masks.get(w)",
+        "touched = next(iter(masks.values()), None)",
+        ("tests/test_diagvariety.py::test_apply_to_matrix_builds_the_mask_per_field_width",),
     ),
     Mutant(
         "format-degree-ties-ascending",
