@@ -15,7 +15,7 @@ import sys
 
 from . import diagvariety, intlattice
 from .errors import DiagvarError, NormalFormError
-from .guards import WINDOWS, describe
+from .guards import PAIR_BUDGET, WINDOWS, describe, guard
 from .polymatrix import polymatrix_from_json
 from .polyring import GF, format_poly
 
@@ -54,6 +54,7 @@ def _record(check: str, n=None, p=None, passed=True, detail=None, force=False) -
 
 
 def cell_pofx(n: int, force: bool = False) -> dict:
+    guard("pofx", n, force)
     P = diagvariety.compute_P(diagvariety.generic_matrix(n), force=force)
     expected = n * (n - 1) // 2
     degree = P.homogeneous_degree()
@@ -343,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "pofx",
         "compute P for the generic or a specialized matrix",
         n_help=f"matrix size; runs unforced at {describe('pofx')} for the generic matrix, "
-        f"and at n <= {diagvariety.SPECIALIZED_GUARD} specialized",
+        f"and specialized at n <= {diagvariety.SPECIALIZED_GUARD} while no determinant passes {PAIR_BUDGET} term pairs",
         matrix_help="JSON file with a polynomial matrix",
     )
     p.add_argument("--spec", choices=("s", "s0", "sop", "tilde"))

@@ -18,7 +18,7 @@ from typing import NamedTuple
 from . import intlattice
 from .errors import NormalFormError, SizeGuardError
 from .fpurity import FedderVerdict, fedder_check
-from .guards import guard
+from .guards import PAIR_BUDGET, guard
 from .polymatrix import PolyMatrix, _char_polys
 from .polyring import GF, ZZ, Domain, MvPolynomial, VarContext
 
@@ -138,15 +138,7 @@ def diag_matrix(M: PolyMatrix, *, force: bool = False) -> PolyMatrix:
     return PolyMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
 
 
-def _distinct_vars(M: PolyMatrix) -> int:
-    used = set()
-    for row in M.rows:
-        for e in row:
-            used |= e.variables_used()
-    return len(used)
-
-
-def _c_matrix(M: PolyMatrix) -> PolyMatrix:
+def _c_matrix(M: PolyMatrix, budget=None) -> PolyMatrix:
     """C(M), a matrix with det C(M) = det D(M) = P(M), built from n
     characteristic polynomials of size n - 1 instead of powers of M.
 
@@ -171,7 +163,7 @@ def _c_matrix(M: PolyMatrix) -> PolyMatrix:
         return PolyMatrix([[MvPolynomial.one(ctx, dom)]])
     # t is the field above the context's, which no entry can use, so a
     # key's t-degree is its bits above the context's fields
-    w, cps = _char_polys(M.rows, len(ctx), dom.p, [[i for i in range(n) if i != k] for k in range(n)])
+    w, cps = _char_polys(M.rows, len(ctx), dom.p, [[i for i in range(n) if i != k] for k in range(n)], budget)
     shift = w * len(ctx)
     low = (1 << shift) - 1
     emax = max(f._e for row in M.rows for f in row)
@@ -188,12 +180,11 @@ def _c_matrix(M: PolyMatrix) -> PolyMatrix:
 
 def compute_P(M: PolyMatrix, *, force: bool = False) -> MvPolynomial:
     """P(M) = det(D(M)), exactly, expanded as det C(M) (see `_c_matrix`).
-    Fully generic matrices are held to the pofx window; every matrix to
-    n <= SPECIALIZED_GUARD, the budget diag_matrix shares."""
-    if not force and _distinct_vars(M) >= M.n * M.n:
-        guard("pofx", M.n)
+    Unless forced, n <= SPECIALIZED_GUARD, as for diag_matrix, and each
+    determinant expanded forms at most PAIR_BUDGET term pairs."""
     _specialized_guard(M.n, force)
-    return _c_matrix(M)._det(None)
+    budget = None if force else PAIR_BUDGET
+    return _c_matrix(M, budget)._det(None, budget)
 
 
 def _leading_block(X: PolyMatrix, m: int) -> PolyMatrix:

@@ -6,10 +6,11 @@ check functions refuse sizes outside it unless forced, `diagvar suite` runs
 every cell inside it, and `diagvar <cmd> --help` prints it.  Budgets that
 limit one layer on any input stay with the public function they limit, which
 checks its budget once: `PolyMatrix.det` and `char_poly`, `diag_matrix` and
-`compute_P`, `int_det`, `power_diagonal_check`.  The internal routes under
-them (`_det`, `_char_poly`, `_c_matrix`, and the packed `_char_polys` the
-last two share) check nothing, as every window and the specialized budget
-lie within the layer budgets.
+`compute_P`, `int_det`, `power_diagonal_check`.  `PAIR_BUDGET` is counted
+where the work is: each determinant DP of an unforced `compute_P`, whatever
+the matrix's shape, stops before it forms more term pairs (`_subset_det`
+counts them).  The other internal routes check nothing, as every window
+and the specialized budget lie within the layer budgets.
 """
 
 from __future__ import annotations
@@ -18,7 +19,12 @@ from typing import NamedTuple
 
 from .errors import SizeGuardError
 
-__all__ = ["Window", "WINDOWS", "describe", "guard"]
+__all__ = ["PAIR_BUDGET", "Window", "WINDOWS", "describe", "guard"]
+
+# kill_s at n = 7, the largest P that passes, forms 343,222 in its largest
+# DP; tilde "both" at n = 6 would form 25.6M in its last (27 s, 1.8 GiB on a
+# 2-vCPU Xeon VM), and the budget stops it in under a second.
+PAIR_BUDGET = 2**20
 
 
 class Window(NamedTuple):

@@ -346,12 +346,12 @@ def verify_inverse_bands(n: int, *, force: bool = False) -> BandReport:
 def intmatrix_from_json(obj) -> IntMatrix:
     """Load {"n": int, "entries": [[int-or-decimal-string, ...], ...]}."""
     try:
-        n = int(obj["n"])
+        n = obj["n"]
         entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError) as e:
         raise SchemaError(f"malformed matrix JSON: {e}") from e
-    if isinstance(obj["n"], (bool, float)):
-        raise SchemaError(f"matrix size must be an integer, got {obj['n']!r}")
+    if type(n) is not int:
+        raise SchemaError(f"matrix size must be an integer, got {n!r}")
     if n < 1:
         raise SchemaError(f"matrix size must be positive, got {n}")
     if not isinstance(entries, list) or len(entries) != n:

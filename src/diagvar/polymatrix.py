@@ -3,13 +3,14 @@ determinants and characteristic polynomials.
 
 The determinant uses Laplace expansion with dynamic programming over column
 subsets (2^n states), which avoids exact polynomial division entirely; a
-hard size guard keeps the state count bounded.  `_subset_det` runs it on
-packed rows and forms only completable minors: a boolean pass over the
-support first finds the column sets the lower rows can fill through nonzero
-entries, and a minor whose remaining columns are not among them is skipped,
-which is exact.  On C(M) of the killed matrix, whose last row is zero, this
-cuts the term pairs from 14,420 to 3,742 at n = 6 and from 1,643,012 to
-343,222 at n = 7.  Characteristic polynomials (`_char_polys`) run the same
+hard size guard keeps the state count bounded, and an optional budget
+bounds the term pairs it forms.  `_subset_det` runs it on packed rows and
+forms only completable minors: a boolean pass over the support first finds
+the column sets the lower rows can fill through nonzero entries, and a
+minor whose remaining columns are not among them is skipped, which is
+exact.  On C(M) of the killed matrix, whose last row is zero, this cuts the
+term pairs from 14,420 to 3,742 at n = 6 and from 1,643,012 to 343,222 at
+n = 7.  Characteristic polynomials (`_char_polys`) run the same
 DP on packed rows of t*I - A: each entry is packed and negated once and t's
 key added on the diagonal, with no polynomial objects per entry; C(M)'s n
 characteristic polynomials share one packing of M.
@@ -32,10 +33,11 @@ def _packed_rows(rows, e: int):
     return w, [[f._at(w) for f in row] for row in rows]
 
 
-def _subset_det(rows, p, masks=(0, 0)) -> dict:
+def _subset_det(rows, p, masks=(0, 0), budget=None) -> dict:
     """The packed terms of the determinant of rows, a square list of rows of
     term dicts packed at one width, skipping every product key the masks
-    flag; coefficients are reduced mod p (None: over Z).
+    flag; coefficients are reduced mod p (None: over Z).  SizeGuardError
+    once the term pairs formed would pass budget (None: no budget).
 
     Level i maps a set of i columns (a bitmask) to the terms of the minor of
     the top i rows on those columns; each signed product of an entry and a
@@ -51,6 +53,7 @@ def _subset_det(rows, p, masks=(0, 0)) -> dict:
         live.append({s | b for s in live[-1] for b in bits if not s & b})
     live.reverse()
     level = {0: {0: 1}}
+    pairs = 0
     for i, row in enumerate(rows):
         nxt: dict = {}
         rest = live[i + 1]
@@ -59,20 +62,24 @@ def _subset_det(rows, p, masks=(0, 0)) -> dict:
                 bit = 1 << j
                 if mask & bit or not entry or full ^ (mask | bit) not in rest:
                     continue
+                pairs += len(entry) * len(minor)
+                if budget is not None and pairs > budget:
+                    raise SizeGuardError(f"pair guard: a determinant would form more than {budget} term pairs")
                 sign = -1 if (i + (mask & (bit - 1)).bit_count()) % 2 else 1
                 _mul_into(nxt.setdefault(mask | bit, {}), entry, minor, sign, masks)
         level = {mask: acc for mask, acc in nxt.items() if _reduce_in_place(acc, p)}
     return level.get(full, {})
 
 
-def _char_polys(rows, ti: int, p, subsets) -> tuple[int, list]:
+def _char_polys(rows, ti: int, p, subsets, budget=None) -> tuple[int, list]:
     """det(t*I - A_s) for each index list s in subsets, where A_s is the
     principal submatrix of rows (polynomial entries) on s and t is the
     variable of field ti, which no entry uses.  Each entry is packed and
     negated once, and t added on the diagonal, at one width: the widest that
     any t*I - A_s would take as a matrix of its own.  Returns that width and,
     per s, the packed terms and the exponent bound of t*I - A_s, the sum
-    over its rows of max(1, the row's largest entry bound)."""
+    over its rows of max(1, the row's largest entry bound).  Each
+    determinant is held to budget (see `_subset_det`)."""
     cells = {(i, j) for s in subsets for i in s for j in s}
     bounds = [sum(max([1] + [rows[i][j]._e for j in s if rows[i][j]]) for i in s) for s in subsets]
     w = max([_width(max(bounds))] + [rows[i][j]._w for i, j in cells if rows[i][j]])
@@ -80,7 +87,7 @@ def _char_polys(rows, ti: int, p, subsets) -> tuple[int, list]:
     for (i, j), terms in neg.items():
         if i == j:
             terms[1 << (w * ti)] = 1
-    return w, [(_subset_det([[neg[i, j] for j in s] for i in s], p), e) for s, e in zip(subsets, bounds)]
+    return w, [(_subset_det([[neg[i, j] for j in s] for i in s], p, budget=budget), e) for s, e in zip(subsets, bounds)]
 
 
 class PolyMatrix:
@@ -157,9 +164,9 @@ class PolyMatrix:
             raise SizeGuardError(f"det guard: n <= {DET_GUARD}, got {self.n}")
         return self._det(None)
 
-    def _det(self, bound) -> MvPolynomial:
+    def _det(self, bound, budget=None) -> MvPolynomial:
         """The determinant, dropping every monomial with an exponent above
-        the per-variable bound (None: no bound)."""
+        the per-variable bound (None: no bound), under `_subset_det`'s budget."""
         # every exponent of a k-row minor is at most the sum of the top k
         # rows' exponent bounds
         emax = [max(f._e for f in row) for row in self.rows]
@@ -173,7 +180,7 @@ class PolyMatrix:
             rows = [[{k: c for k, c in t.items() if not (k + add) & flag} for t in row] for row in rows]
         if bound is not None:
             e = min(e, max(bound, default=0))
-        return MvPolynomial._raw(self.ctx, self.dom, _subset_det(rows, self.dom.p, masks), e, w)
+        return MvPolynomial._raw(self.ctx, self.dom, _subset_det(rows, self.dom.p, masks, budget), e, w)
 
     def char_poly(self, *, force: bool = False) -> MvPolynomial:
         """Monic characteristic polynomial det(t*I - A).  The reserved
@@ -207,12 +214,12 @@ def polymatrix_from_json(obj) -> PolyMatrix:
     """Load {"n": int, "entries": [[poly-string, ...], ...]}.  The context is
     the full n-by-n variable grid, plus t when any entry mentions it."""
     try:
-        n = int(obj["n"])
+        n = obj["n"]
         entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError) as e:
         raise SchemaError(f"malformed matrix JSON: {e}") from e
-    if isinstance(obj["n"], (bool, float)):
-        raise SchemaError(f"matrix size must be an integer, got {obj['n']!r}")
+    if type(n) is not int:
+        raise SchemaError(f"matrix size must be an integer, got {n!r}")
     if n < 1:
         raise SchemaError(f"matrix size must be positive, got {n}")
     if not isinstance(entries, list) or len(entries) != n:

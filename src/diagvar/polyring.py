@@ -379,13 +379,6 @@ class MvPolynomial:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=lambda m: (sum(m), tuple(-e for e in reversed(m))))
 
-    def variables_used(self) -> set:
-        """Names of variables appearing with a positive exponent: the nonzero
-        fields of the OR of all keys."""
-        used = reduce(operator.or_, self._t, 0)
-        field = (1 << self._w) - 1
-        return {name for i, name in enumerate(self.ctx.names) if used >> (self._w * i) & field}
-
     def _check_compat(self, other: "MvPolynomial"):
         if self.ctx != other.ctx:
             raise ContextError("operands live in different variable contexts")
@@ -602,10 +595,6 @@ class MvPolynomial:
         if new_ctx == self.ctx:
             return self
         w, arity = self._w, len(self.ctx)
-        if new_ctx.names[:arity] == self.ctx.names:
-            # the target only appends variables (char_poly's t): every key
-            # stays, with no per-variable pass
-            return MvPolynomial._raw(new_ctx, self.dom, self._t, self._e, w)
         step, field = w // 8, (1 << w) - 1
         lost = 0
         for i, name in enumerate(self.ctx.names):
@@ -619,8 +608,8 @@ class MvPolynomial:
         fresh = count(arity)
         src = [self.ctx._index[name] if name in self.ctx else next(fresh) for name in new_ctx.names]
         if src == list(range(len(src))):
-            # the source's fields keep their places (the target drops
-            # trailing unused variables): every key stays
+            # the source's fields keep their places (the target appends
+            # variables or drops trailing unused ones): every key stays
             return MvPolynomial._raw(new_ctx, self.dom, self._t, self._e, w)
         size = step * next(fresh)
         runs: list = []

@@ -131,7 +131,7 @@ def test_lemma4_and_lemma5(capsys):
 def test_guard_violation_exits_2_and_names_guard(capsys):
     code, _, err = run(capsys, "pofx", "--n", "9")
     assert code == 2
-    assert "guard" in err
+    assert "pofx guard" in err
 
 
 def test_usage_error_exits_2(capsys):
@@ -299,7 +299,7 @@ def test_load_matrix_ragged_names_row(tmp_path, capsys):
     assert "row 2" in err
 
 
-@pytest.mark.parametrize("n", [2.7, True], ids=["float", "bool"])
+@pytest.mark.parametrize("n", [2.7, True, "2"], ids=["float", "bool", "string"])
 def test_load_int_matrix_rejects_a_non_integer_size(tmp_path, capsys, n):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"n": n, "entries": [[1, 1], [1, 0]]}))

@@ -1,6 +1,7 @@
 """The window table: every check function refuses sizes outside its window
 unless forced, --help prints each window, and the suite enumerated from the
-table is the cell set the benchmark pins."""
+table is the cell set the benchmark pins.  The pair budget: an unforced
+compute_P stops any determinant DP that would form more term pairs."""
 
 import json
 import time
@@ -21,7 +22,7 @@ from diagvar.diagvariety import (
     verify_peeling_identity,
 )
 from diagvar.errors import SizeGuardError
-from diagvar.guards import WINDOWS, describe, guard
+from diagvar.guards import PAIR_BUDGET, WINDOWS, describe, guard
 from diagvar.intlattice import verify_inverse_bands
 from diagvar.polymatrix import CHAR_POLY_GUARD, DET_GUARD, PolyMatrix
 
@@ -30,7 +31,7 @@ PINS = Path(__file__).resolve().parent.parent / "perfbench" / "pins.json"
 # the function each check's window guards, called unforced at size n;
 # lemma4's function is limited by power_diagonal_check's own budget instead
 GUARDED = {
-    "pofx": lambda n: compute_P(generic_matrix(n)),
+    "pofx": cli.cell_pofx,
     "lemma2": verify_block_factorization,
     "induction": verify_peeling_identity,
     "antidiag": antidiag_unit_coeff,
@@ -50,7 +51,7 @@ def test_unforced_call_outside_window_fails_fast(check):
     outside = [w.hi + 1] + ([w.lo - 1] if w.lo - 1 >= 1 else [])
     for n in outside:
         start = time.perf_counter()
-        with pytest.raises(SizeGuardError, match="guard"):
+        with pytest.raises(SizeGuardError, match=f"^{check} guard"):
             GUARDED[check](n)
         assert time.perf_counter() - start < 2.0, (check, n)
 
@@ -62,25 +63,53 @@ def test_guard_passes_inside_window_and_when_forced():
         guard(check, w.hi + 1, force=True)
 
 
+def _dp_pairs(monkeypatch) -> list:
+    """Patch the determinant DP so that each run appends the term pairs its
+    products form (counted through _mul_into) to the returned list."""
+    pairs = []
+    running = []
+
+    def subset_det(*args, inner=polymatrix._subset_det, **kwargs):
+        pairs.append(0)
+        running.append(True)
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            running.pop()
+
+    def mul_into(out, ta, tb, *args, inner=polymatrix._mul_into):
+        if running:
+            pairs[-1] += len(ta) * len(tb)
+        return inner(out, ta, tb, *args)
+
+    monkeypatch.setattr(polymatrix, "_subset_det", subset_det)
+    monkeypatch.setattr(polymatrix, "_mul_into", mul_into)
+    return pairs
+
+
 def test_windows_keep_the_internal_routes_within_the_layer_budgets(monkeypatch):
-    # _det, _char_poly and _c_matrix check no budget of their own; every
-    # unforced cell at its window's top, and compute_P at its own budget,
-    # must keep the sizes they reach within the det and char_poly budgets.
-    # Both _char_poly and _c_matrix expand their characteristic polynomials
-    # through the packed route _char_polys, so the sizes are recorded there
+    # _det, _char_poly and _c_matrix check no size budget of their own, and
+    # only an unforced compute_P hands them the pair budget; every unforced
+    # cell at its window's top, and compute_P at its own budget (kill_s at
+    # n = 7 is the largest P it lets through), must keep the sizes they
+    # reach within the det and char_poly budgets and every DP they run
+    # within the pair budget.  Both _char_poly and _c_matrix expand their
+    # characteristic polynomials through the packed route _char_polys, so
+    # the sizes are recorded there
     sizes = {"_det": set(), "_char_poly": set()}
 
     def record_det(self, *args, inner=PolyMatrix._det):
         sizes["_det"].add(self.n)
         return inner(self, *args)
 
-    def record_char_polys(rows, ti, p, subsets, inner=polymatrix._char_polys):
+    def record_char_polys(rows, ti, p, subsets, budget=None, inner=polymatrix._char_polys):
         sizes["_char_poly"].update(len(s) for s in subsets)
-        return inner(rows, ti, p, subsets)
+        return inner(rows, ti, p, subsets, budget)
 
     monkeypatch.setattr(PolyMatrix, "_det", record_det)
     monkeypatch.setattr(polymatrix, "_char_polys", record_char_polys)
     monkeypatch.setattr(diagvariety, "_char_polys", record_char_polys)
+    pairs = _dp_pairs(monkeypatch)
     # the fedder cells build the killed P afresh, not from the cache
     monkeypatch.setattr(diagvariety, "_killed_P", diagvariety._killed_P.__wrapped__)
     monkeypatch.setattr(diagvariety, "_killed_survivors", diagvariety._killed_survivors.__wrapped__)
@@ -90,10 +119,49 @@ def test_windows_keep_the_internal_routes_within_the_layer_budgets(monkeypatch):
         if kw["n"] == WINDOWS[check].hi:
             assert cli._run_cell((check, kw))["pass"], (check, kw)
     n = SPECIALIZED_GUARD
-    compute_P(build_specialization(n, "sop").apply_to_matrix(generic_matrix(n)))
+    for label in ("sop", "kill_s"):
+        compute_P(build_specialization(n, label).apply_to_matrix(generic_matrix(n)))
     assert n in sizes["_det"] and n - 1 in sizes["_char_poly"]
     assert max(sizes["_det"]) <= DET_GUARD, sizes
     assert max(sizes["_char_poly"]) <= CHAR_POLY_GUARD, sizes
+    assert 343222 in pairs and max(pairs) <= PAIR_BUDGET
+
+
+def _sop(n: int) -> PolyMatrix:
+    return build_specialization(n, "sop").apply_to_matrix(generic_matrix(n))
+
+
+@pytest.mark.parametrize(
+    "M, per_dp",
+    [(generic_matrix(3), [8, 8, 8, 27]), (_sop(3), [2, 4, 6, 3])],
+    ids=["largest-in-the-final-det", "largest-in-a-char-poly"],
+)
+def test_pair_budget_passes_at_the_largest_dp_and_stops_one_pair_below(monkeypatch, M, per_dp):
+    # per DP: C(M)'s n characteristic polynomials, then det C(M); under
+    # sop, a characteristic polynomial forms more pairs than det C(M)
+    pairs = _dp_pairs(monkeypatch)
+    P = compute_P(M)
+    assert pairs == per_dp
+    top = max(per_dp)
+    monkeypatch.setattr(diagvariety, "PAIR_BUDGET", top)
+    assert compute_P(M) == P
+    monkeypatch.setattr(diagvariety, "PAIR_BUDGET", top - 1)
+    with pytest.raises(SizeGuardError, match=f"^pair guard: .* more than {top - 1} term pairs$"):
+        compute_P(M)
+    assert compute_P(M, force=True) == P
+
+
+@pytest.mark.parametrize("n, label, mode", [(6, "tilde", "both"), (7, "kill_s0", None)], ids=["tilde-both-6", "kill_s0-7"])
+def test_unforced_P_past_the_pair_budget_stops_within_it(monkeypatch, n, label, mode):
+    # both pass every other guard; forced, tilde "both" at n = 6 forms
+    # 23,772,960 pairs in its last DP level, and kill_s0 at n = 7 more
+    M = build_specialization(n, label, mode).apply_to_matrix(generic_matrix(n))
+    pairs = _dp_pairs(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardError, match=f"pair guard: .* {PAIR_BUDGET} term pairs"):
+        compute_P(M)
+    assert time.perf_counter() - start < 2.0
+    assert max(pairs) <= PAIR_BUDGET
 
 
 @pytest.mark.parametrize("check", list(WINDOWS))

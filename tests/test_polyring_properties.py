@@ -285,13 +285,6 @@ def test_with_context_matches_the_tuple_oracle(source, target, dom, data):
         assert str(packed.value) == str(oracle.value)
 
 
-@PROPERTY
-@given(st.dictionaries(st.tuples(DEGREE_EXPONENTS, DEGREE_EXPONENTS, DEGREE_EXPONENTS), st.integers(1, 5), max_size=4))
-def test_variables_used_matches_tuple_reads(terms):
-    f = MvPolynomial(CTX, ZZ, terms)
-    assert f.variables_used() == {name for m in f.terms for name, e in zip(CTX.names, m) if e}
-
-
 # zero patterns for the determinant's live-minor pruning: a minor is formed
 # only when the rows below it can fill its remaining columns through nonzero
 # entries, so supports with zero rows and columns, supports that no

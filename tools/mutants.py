@@ -170,6 +170,30 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "pair-budget-inclusive",
+        "src/diagvar/polymatrix.py",
+        "pairs > budget",
+        "pairs >= budget",
+        ("tests/test_guards.py::test_pair_budget_passes_at_the_largest_dp_and_stops_one_pair_below",),
+    ),
+    Mutant(
+        "char-polys-budget-dropped",
+        "src/diagvar/polymatrix.py",
+        "for i in s], p, budget=budget)",
+        "for i in s], p)",
+        ("tests/test_guards.py::test_pair_budget_passes_at_the_largest_dp_and_stops_one_pair_below",),
+    ),
+    Mutant(
+        "cell-pofx-window-guard-dropped",
+        "src/diagvar/cli.py",
+        '    guard("pofx", n, force)\n',
+        "",
+        (
+            "tests/test_guards.py::test_unforced_call_outside_window_fails_fast",
+            "tests/test_cli.py::test_guard_violation_exits_2_and_names_guard",
+        ),
+    ),
+    Mutant(
         "sop-sign-dropped",
         "src/diagvar/diagvariety.py",
         "SopNormalForm(sign=c,",
