@@ -2,8 +2,9 @@
 the whole desk-scale suite with machine-readable reports.
 
 Exit codes: 0 when every executed check passed, 1 when any check failed,
-2 on usage errors or guard violations.  Reports are deterministic for a
-fixed configuration; DIAGVAR_THREADS caps suite parallelism (0 = auto).
+2 on usage errors, guard violations or a report that cannot be written.
+Reports are deterministic for a fixed configuration; DIAGVAR_THREADS caps
+suite parallelism (0 = auto).
 """
 
 from __future__ import annotations
@@ -398,8 +399,12 @@ def main(argv=None) -> int:
     else:
         payload = _render_text(records, args.command)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as e:
+            print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
     return 0 if all(r["pass"] for r in records) else 1

@@ -191,22 +191,54 @@ def _leading_block(X: PolyMatrix, m: int) -> PolyMatrix:
     return PolyMatrix([row[:m] for row in X.rows[:m]])
 
 
+def _tilde_c(n: int, mode: str) -> PolyMatrix:
+    """C (see `_c_matrix`) of the generic matrix in the given tilde mode."""
+    return _c_matrix(build_specialization(n, "tilde", mode).apply_to_matrix(generic_matrix(n)))
+
+
+def _corner_side(n: int) -> MvPolynomial:
+    """The right side of lemma2, P(X0) * det(x_n_n * I - X0), for the
+    leading (n-1) block X0 of the generic matrix.  No entry of X0 uses
+    x_n_n, so the corner factor, the characteristic polynomial of X0
+    evaluated at x_n_n, is one characteristic polynomial taken in x_n_n,
+    already in X's context."""
+    X0 = _leading_block(generic_matrix(n), n - 1)
+    return compute_P(X0, force=True) * X0._char_poly(var(n, n))
+
+
+@lru_cache(maxsize=None)
+def _corner_identity(n: int) -> tuple:
+    # reached only through verify_block_factorization's own guard (or an
+    # explicit force); keeps C of the "both" mode and the verdict, no other
+    # polynomial
+    C = _tilde_c(n, "both")
+    return C, C._det(None) == _corner_side(n)
+
+
 def verify_block_factorization(n: int, mode: str = "both", *, force: bool = False) -> bool:
     """With the last row and/or column of the generic matrix killed except
     for the corner, P factors through the leading block X0:
 
         P(killed X) == P(X0) * det(x_n_n * I - X0)
 
-    No entry of X0 uses x_n_n, so the corner factor, the characteristic
-    polynomial of X0 evaluated at x_n_n, is one characteristic polynomial
-    taken in x_n_n, already in X's context.  True exactly when the identity
-    holds."""
+    The left side is det C of the killed matrix (see `_c_matrix`).  C is
+    built from the principal minors of M_k, M with row and column k
+    deleted.  In every mode the killed matrix is block-triangular with
+    diagonal blocks X0 and x_n_n, and so is each M_k with k < n, so each
+    principal minor is the product of its two blocks' minors, neither of
+    which sees the killed row or column; M_n is X0 itself.  So C is the
+    same in every mode, and the verdict of the "both" mode, expanded once
+    per n, is every mode's.  Each mode still builds its own C and takes
+    that verdict only when its C equals the shared one exactly (equal
+    matrices have equal determinants); otherwise it expands its own
+    determinant against the same right side.  True exactly when the
+    identity holds."""
     guard("lemma2", n, force)
-    X = generic_matrix(n)
-    spec = build_specialization(n, "tilde", mode)
-    lhs = compute_P(spec.apply_to_matrix(X), force=force)
-    X0 = _leading_block(X, n - 1)
-    return lhs == compute_P(X0, force=force) * X0._char_poly(var(n, n))
+    C = _tilde_c(n, mode)
+    C_both, holds = _corner_identity(n)
+    if C == C_both:
+        return holds
+    return C._det(None) == _corner_side(n)
 
 
 def verify_peeling_identity(n: int, *, force: bool = False) -> bool:

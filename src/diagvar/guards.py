@@ -23,7 +23,8 @@ __all__ = ["PAIR_BUDGET", "Window", "WINDOWS", "describe", "guard"]
 
 # kill_s at n = 7, the largest P that passes, forms 343,222 in its largest
 # DP; tilde "both" at n = 6 would form 25.6M in its last (27 s, 1.8 GiB on a
-# 2-vCPU Xeon VM), and the budget stops it in under a second.
+# 2-vCPU Xeon VM), and the budget stops it before that DP's last level, after
+# 55,436 pairs of it (0.15 s and 18 MiB for the whole CLI run).
 PAIR_BUDGET = 2**20
 
 

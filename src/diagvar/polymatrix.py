@@ -4,7 +4,9 @@ determinants and characteristic polynomials.
 The determinant uses Laplace expansion with dynamic programming over column
 subsets (2^n states), which avoids exact polynomial division entirely; a
 hard size guard keeps the state count bounded, and an optional budget
-bounds the term pairs it forms.  `_subset_det` runs it on packed rows and
+bounds the term pairs it forms, each level counted whole before any of it
+is formed, so a refused determinant stops below the level that would pass
+the budget.  `_subset_det` runs it on packed rows and
 forms only completable minors: a boolean pass over the support first finds
 the column sets the lower rows can fill through nonzero entries, and a
 minor whose remaining columns are not among them is skipped, which is
@@ -37,7 +39,9 @@ def _subset_det(rows, p, masks=(0, 0), budget=None) -> dict:
     """The packed terms of the determinant of rows, a square list of rows of
     term dicts packed at one width, skipping every product key the masks
     flag; coefficients are reduced mod p (None: over Z).  SizeGuardError
-    once the term pairs formed would pass budget (None: no budget).
+    when the term pairs of the levels up to and including the next would
+    pass budget (None: no budget), before any product of that level is
+    formed.
 
     Level i maps a set of i columns (a bitmask) to the terms of the minor of
     the top i rows on those columns; each signed product of an entry and a
@@ -55,18 +59,20 @@ def _subset_det(rows, p, masks=(0, 0), budget=None) -> dict:
     level = {0: {0: 1}}
     pairs = 0
     for i, row in enumerate(rows):
-        nxt: dict = {}
         rest = live[i + 1]
-        for mask, minor in level.items():
-            for j, entry in enumerate(row):
-                bit = 1 << j
-                if mask & bit or not entry or full ^ (mask | bit) not in rest:
-                    continue
-                pairs += len(entry) * len(minor)
-                if budget is not None and pairs > budget:
-                    raise SizeGuardError(f"pair guard: a determinant would form more than {budget} term pairs")
-                sign = -1 if (i + (mask & (bit - 1)).bit_count()) % 2 else 1
-                _mul_into(nxt.setdefault(mask | bit, {}), entry, minor, sign, masks)
+        pending = [
+            (mask, 1 << j, entry, minor)
+            for mask, minor in level.items()
+            for j, entry in enumerate(row)
+            if entry and not mask >> j & 1 and full ^ (mask | 1 << j) in rest
+        ]
+        pairs += sum(len(entry) * len(minor) for _, _, entry, minor in pending)
+        if budget is not None and pairs > budget:
+            raise SizeGuardError(f"pair guard: a determinant would form more than {budget} term pairs")
+        nxt: dict = {}
+        for mask, bit, entry, minor in pending:
+            sign = -1 if (i + (mask & (bit - 1)).bit_count()) % 2 else 1
+            _mul_into(nxt.setdefault(mask | bit, {}), entry, minor, sign, masks)
         level = {mask: acc for mask, acc in nxt.items() if _reduce_in_place(acc, p)}
     return level.get(full, {})
 

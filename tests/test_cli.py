@@ -134,6 +134,19 @@ def test_guard_violation_exits_2_and_names_guard(capsys):
     assert "pofx guard" in err
 
 
+@pytest.mark.parametrize("target", ["dir", "missing/x.json"], ids=["a-directory", "a-missing-parent"])
+def test_unwritable_out_exits_2_and_names_the_path(capsys, tmp_path, target):
+    # exit 1 means a check failed; a report that cannot be written is a
+    # usage error, reported without a traceback
+    (tmp_path / "dir").mkdir()
+    path = str(tmp_path / target)
+    code, out, err = run(capsys, "sop", "--n", "3", "--out", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as e:
         cli.main(["lemma5"])  # missing required --n

@@ -18,7 +18,7 @@ from diagvar.diagvariety import (
     verify_block_factorization,
     verify_peeling_identity,
 )
-from diagvar import diagvariety, polymatrix
+from diagvar import diagvariety, polymatrix, polyring
 from diagvar.errors import ContextError, DomainError, NormalFormError, SizeGuardError
 from diagvar.intlattice import antidiagonal_ones, power_diagonal_check
 from diagvar.polymatrix import CHAR_POLY_GUARD, DET_GUARD, PolyMatrix, polymatrix_from_json
@@ -193,9 +193,21 @@ def test_p_homogeneous_degree_small():
         assert P.homogeneous_degree() == n * (n - 1) // 2
 
 
-def test_p_generic_guard():
-    with pytest.raises(SizeGuardError):
+def test_p_generic_guard(monkeypatch):
+    # the pair budget refuses the last level of det C(M) before forming
+    # any of it: the six characteristic polynomials form 728 pairs each,
+    # and det C(M) forms only the 110,556 of the levels below the refused
+    # one
+    pairs = [0]
+
+    def mul_into(out, ta, tb, *args, inner=polymatrix._mul_into):
+        pairs[0] += len(ta) * len(tb)
+        return inner(out, ta, tb, *args)
+
+    monkeypatch.setattr(polymatrix, "_mul_into", mul_into)
+    with pytest.raises(SizeGuardError, match="^pair guard"):
         compute_P(generic_matrix(6))
+    assert pairs == [6 * 728 + 110556]
     # a silly forced 1x1 call goes through the force path
     assert compute_P(generic_matrix(1), force=True) == 1
 
@@ -372,6 +384,51 @@ def test_block_factorization_matches_independent_expansion_n3():
     rhs = p0 * c.substitute({"t": x33}).with_context(ctx)
     assert lhs == rhs
     assert verify_block_factorization(3, "both")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_tilde_c_is_the_same_matrix_in_every_mode(n):
+    # the killed row or column enters no principal minor of a
+    # block-triangular matrix, so C of the three modes agree term by term,
+    # in key order, field width and exponent bound
+    Cs = [diagvariety._tilde_c(n, mode) for mode in ("row", "column", "both")]
+    for C in Cs[1:]:
+        for row, row_both in zip(C.rows, Cs[0].rows):
+            for f, g in zip(row, row_both):
+                assert list(f._t.items()) == list(g._t.items())
+                assert (f._w, f._e) == (g._w, g._e)
+
+
+def test_three_modes_expand_the_corner_determinant_once(monkeypatch):
+    # one mode alone forms 49,437 pairs at n = 5: 23,989 in det C and
+    # 24,180 in the right side's product; the other two modes only build
+    # their C, so the three form 50,607 pairs
+    diagvariety._corner_identity.cache_clear()
+    pairs = [0]
+
+    def mul_into(out, ta, tb, *args, inner=polyring._mul_into):
+        pairs[0] += len(ta) * len(tb)
+        return inner(out, ta, tb, *args)
+
+    monkeypatch.setattr(polyring, "_mul_into", mul_into)
+    monkeypatch.setattr(polymatrix, "_mul_into", mul_into)
+    for mode in ("row", "column", "both"):
+        assert verify_block_factorization(5, mode)
+    assert pairs == [50607]
+
+
+def test_block_factorization_expands_its_own_determinant_when_c_differs(monkeypatch):
+    # a shared C that differs from a mode's own C lends no verdict: the
+    # mode expands det C against the same right side
+    other = PolyMatrix.identity(generic_matrix(3).ctx, ZZ, 3)
+    monkeypatch.setattr(diagvariety, "_corner_identity", lambda n: (other, False))
+    for mode in ("row", "column", "both"):
+        assert verify_block_factorization(3, mode), mode
+    side = diagvariety._corner_side
+    monkeypatch.setattr(diagvariety, "_corner_identity", lambda n: (other, True))
+    monkeypatch.setattr(diagvariety, "_corner_side", lambda n: side(n) + 1)
+    for mode in ("row", "column", "both"):
+        assert not verify_block_factorization(3, mode), mode
 
 
 def test_block_factorization_guard():

@@ -113,6 +113,8 @@ def test_windows_keep_the_internal_routes_within_the_layer_budgets(monkeypatch):
     # the fedder cells build the killed P afresh, not from the cache
     monkeypatch.setattr(diagvariety, "_killed_P", diagvariety._killed_P.__wrapped__)
     monkeypatch.setattr(diagvariety, "_killed_survivors", diagvariety._killed_survivors.__wrapped__)
+    # and the lemma2 cells expand their shared corner afresh
+    monkeypatch.setattr(diagvariety, "_corner_identity", diagvariety._corner_identity.__wrapped__)
     primes = sorted({p for w in WINDOWS.values() for p in w.primes})
     cells = cli._suite_cells(max(w.hi for w in WINDOWS.values()), primes, cli.SUITE_CHECKS)
     for check, kw in cells:
@@ -151,17 +153,26 @@ def test_pair_budget_passes_at_the_largest_dp_and_stops_one_pair_below(monkeypat
     assert compute_P(M, force=True) == P
 
 
-@pytest.mark.parametrize("n, label, mode", [(6, "tilde", "both"), (7, "kill_s0", None)], ids=["tilde-both-6", "kill_s0-7"])
-def test_unforced_P_past_the_pair_budget_stops_within_it(monkeypatch, n, label, mode):
+@pytest.mark.parametrize(
+    "n, label, mode, formed",
+    [
+        (6, "tilde", "both", [268] * 5 + [728, 55436]),
+        (7, "kill_s0", None, [185, 218, 297, 439, 556, 799, 1069, 49833]),
+    ],
+    ids=["tilde-both-6", "kill_s0-7"],
+)
+def test_unforced_P_past_the_pair_budget_stops_within_it(monkeypatch, n, label, mode, formed):
     # both pass every other guard; forced, tilde "both" at n = 6 forms
-    # 23,772,960 pairs in its last DP level, and kill_s0 at n = 7 more
+    # 23,772,960 pairs in its last DP level, and kill_s0 at n = 7 more.
+    # Each level is counted whole before it is formed, so det C(M), the
+    # last DP, stops once the levels below the refused one are formed
     M = build_specialization(n, label, mode).apply_to_matrix(generic_matrix(n))
     pairs = _dp_pairs(monkeypatch)
     start = time.perf_counter()
     with pytest.raises(SizeGuardError, match=f"pair guard: .* {PAIR_BUDGET} term pairs"):
         compute_P(M)
     assert time.perf_counter() - start < 2.0
-    assert max(pairs) <= PAIR_BUDGET
+    assert pairs == formed
 
 
 @pytest.mark.parametrize("check", list(WINDOWS))

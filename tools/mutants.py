@@ -184,6 +184,20 @@ MUTANTS = (
         ("tests/test_guards.py::test_pair_budget_passes_at_the_largest_dp_and_stops_one_pair_below",),
     ),
     Mutant(
+        "pair-budget-level-sum-short-of-its-last-product",
+        "src/diagvar/polymatrix.py",
+        "for _, _, entry, minor in pending)",
+        "for _, _, entry, minor in pending[:-1])",
+        ("tests/test_guards.py::test_pair_budget_passes_at_the_largest_dp_and_stops_one_pair_below",),
+    ),
+    Mutant(
+        "lemma2-shared-verdict-unchecked",
+        "src/diagvar/diagvariety.py",
+        "    if C == C_both:\n",
+        "    if True:\n",
+        ("tests/test_diagvariety.py::test_block_factorization_expands_its_own_determinant_when_c_differs",),
+    ),
+    Mutant(
         "cell-pofx-window-guard-dropped",
         "src/diagvar/cli.py",
         '    guard("pofx", n, force)\n',
