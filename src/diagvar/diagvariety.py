@@ -19,8 +19,8 @@ from . import intlattice
 from .errors import NormalFormError, SizeGuardError
 from .fpurity import FedderVerdict, fedder_check
 from .guards import PAIR_BUDGET, guard
-from .polymatrix import PolyMatrix, _char_polys
-from .polyring import GF, ZZ, Domain, MvPolynomial, VarContext
+from .polymatrix import PolyMatrix, _shifted_det
+from .polyring import GF, ZZ, Domain, MvPolynomial, VarContext, _reduce_in_place
 
 __all__ = [
     "Specialization",
@@ -139,8 +139,8 @@ def diag_matrix(M: PolyMatrix, *, force: bool = False) -> PolyMatrix:
 
 
 def _c_matrix(M: PolyMatrix, budget=None) -> PolyMatrix:
-    """C(M), a matrix with det C(M) = det D(M) = P(M), built from n
-    characteristic polynomials of size n - 1 instead of powers of M.
+    """C(M), a matrix with det C(M) = det D(M) = P(M), read off one
+    determinant of size n instead of built from powers of M.
 
     C(M)[r][k] is the t^(n-1-r) coefficient of det(t*I - M_k), where M_k is
     M with row and column k deleted, that is (-1)^r times the sum of the
@@ -156,26 +156,48 @@ def _c_matrix(M: PolyMatrix, budget=None) -> PolyMatrix:
     term 1, so det T = 1.  C(M) is built division-free, and its rows, like
     those of D(M)^T, have increasing degree; its last row holds
     determinants of size n - 1 instead of diagonals of M^(n-1), so the
-    subset dynamic program pairs far fewer terms."""
+    subset dynamic program pairs far fewer terms.
+
+    All of C comes from one determinant, that of diag(t_0, ..., t_(n-1)) - M
+    with a fresh variable t_k per row, each of exponent at most 1:
+
+        det(diag(t) - M) = sum over S of (-1)^|S| det M_S * prod_(k not in S) t_k,
+
+    over the index sets S, M_S the principal submatrix on S.  So C[r][k] is
+    the sum of the terms of t-degree n - r that hold t_k, with their t-part
+    stripped (row 0 is the S = {} term), and the t-free terms, det M, are
+    dropped.  Distinct principal minors can share a monomial, so each entry
+    is reduced once its terms are summed."""
     n = M.n
     ctx, dom = M.ctx, M.dom
-    if n == 1:
-        return PolyMatrix([[MvPolynomial.one(ctx, dom)]])
-    # t is the field above the context's, which no entry can use, so a
-    # key's t-degree is its bits above the context's fields
-    w, cps = _char_polys(M.rows, len(ctx), dom.p, [[i for i in range(n) if i != k] for k in range(n)], budget)
-    shift = w * len(ctx)
+    arity = len(ctx)
+    # t_k is field arity + k, above the context's, which no entry can use,
+    # so a key's t-part is its bits above the context's fields
+    w, e, terms = _shifted_det(M.rows, range(arity, arity + n), dom.p, budget)
+    shift = w * arity
     low = (1 << shift) - 1
+    C = [[{} for _ in range(n)] for _ in range(n)]
+    for key, c in terms.items():
+        ts, m = key >> shift, key & low
+        if not ts:
+            continue
+        # each t_k field holds 0 or 1, so the t-degree is the bit count
+        row = C[n - ts.bit_count()]
+        # credited to each k whose t_k the term holds, lowest bit first
+        while ts:
+            bit = ts & -ts
+            ts ^= bit
+            acc = row[(bit.bit_length() - 1) // w]
+            acc[m] = acc.get(m, 0) + c
+    # a t^(n-1-r) coefficient is a sum of products of r entries, and w
+    # holds e
     emax = max(f._e for row in M.rows for f in row)
-    C = [[None] * n for _ in range(n)]
-    for k, (terms, e) in enumerate(cps):
-        by_degree: dict = {}
-        for key, c in terms.items():
-            by_degree.setdefault(key >> shift, {})[key & low] = c
-        for r in range(n):
-            # a t^(n-1-r) coefficient is a sum of products of r entries
-            C[r][k] = MvPolynomial._raw(ctx, dom, by_degree.get(n - 1 - r, {}), min(e, r * emax), w)
-    return PolyMatrix(C)
+    return PolyMatrix(
+        [
+            [MvPolynomial._raw(ctx, dom, _reduce_in_place(acc, dom.p), min(e, r * emax), w) for acc in row]
+            for r, row in enumerate(C)
+        ]
+    )
 
 
 def compute_P(M: PolyMatrix, *, force: bool = False) -> MvPolynomial:
@@ -201,8 +223,11 @@ def _corner_side(n: int) -> MvPolynomial:
     leading (n-1) block X0 of the generic matrix.  No entry of X0 uses
     x_n_n, so the corner factor, the characteristic polynomial of X0
     evaluated at x_n_n, is one characteristic polynomial taken in x_n_n,
-    already in X's context."""
-    X0 = _leading_block(generic_matrix(n), n - 1)
+    already in X's context.  At n = 1, X0 is empty and both factors are 1."""
+    X = generic_matrix(n)
+    if n == 1:
+        return MvPolynomial.one(X.ctx, X.dom)
+    X0 = _leading_block(X, n - 1)
     return compute_P(X0, force=True) * X0._char_poly(var(n, n))
 
 
@@ -321,19 +346,22 @@ def sop_normal_form(n: int, *, force: bool = False) -> SopNormalForm:
 
 
 @lru_cache(maxsize=None)
-def _killed_P(n: int) -> MvPolynomial:
-    # reached only through check_fpure's own guard (or an explicit force)
-    X = generic_matrix(n)
-    return compute_P(build_specialization(n, "kill_s").apply_to_matrix(X), force=True)
-
-
-@lru_cache(maxsize=None)
 def _killed_survivors(n: int) -> tuple:
     """The killed P over Z in its survivors (i + j <= n), and the weight
-    -i*j of each survivor x_i_j."""
+    -i*j of each survivor x_i_j.  The kill_s matrix is made in the
+    survivors' context, x_i_j at i + j <= n and zero elsewhere, so P needs
+    no restriction."""
+    # reached only through check_fpure's own guard (or an explicit force)
     cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n]
-    f = _killed_P(n).with_context(VarContext(var(i, j) for i, j in cells))
-    return f, tuple(-i * j for i, j in cells)
+    ctx = VarContext(var(i, j) for i, j in cells)
+    zero = MvPolynomial.zero(ctx, ZZ)
+    M = PolyMatrix(
+        [
+            [MvPolynomial.variable(ctx, ZZ, var(i, j)) if i + j <= n else zero for j in range(1, n + 1)]
+            for i in range(1, n + 1)
+        ]
+    )
+    return compute_P(M, force=True), tuple(-i * j for i, j in cells)
 
 
 def check_fpure(n: int, p: int, *, force: bool = False) -> FedderVerdict:

@@ -12,10 +12,12 @@ the column sets the lower rows can fill through nonzero entries, and a
 minor whose remaining columns are not among them is skipped, which is
 exact.  On C(M) of the killed matrix, whose last row is zero, this cuts the
 term pairs from 14,420 to 3,742 at n = 6 and from 1,643,012 to 343,222 at
-n = 7.  Characteristic polynomials (`_char_polys`) run the same
-DP on packed rows of t*I - A: each entry is packed and negated once and t's
-key added on the diagonal, with no polynomial objects per entry; C(M)'s n
-characteristic polynomials share one packing of M.
+n = 7.  `_shifted_det` runs the same DP on packed rows of
+diag(t_0, ..., t_(n-1)) - A: each entry is packed and negated once and the
+key of t_i added on the diagonal, with no polynomial objects per entry.
+With one t throughout it is the characteristic polynomial; with a fresh t_k
+per row it is the one determinant that C(M) is read off (see
+`diagvariety._c_matrix`).
 """
 
 from __future__ import annotations
@@ -77,23 +79,21 @@ def _subset_det(rows, p, masks=(0, 0), budget=None) -> dict:
     return level.get(full, {})
 
 
-def _char_polys(rows, ti: int, p, subsets, budget=None) -> tuple[int, list]:
-    """det(t*I - A_s) for each index list s in subsets, where A_s is the
-    principal submatrix of rows (polynomial entries) on s and t is the
-    variable of field ti, which no entry uses.  Each entry is packed and
-    negated once, and t added on the diagonal, at one width: the widest that
-    any t*I - A_s would take as a matrix of its own.  Returns that width and,
-    per s, the packed terms and the exponent bound of t*I - A_s, the sum
-    over its rows of max(1, the row's largest entry bound).  Each
-    determinant is held to budget (see `_subset_det`)."""
-    cells = {(i, j) for s in subsets for i in s for j in s}
-    bounds = [sum(max([1] + [rows[i][j]._e for j in s if rows[i][j]]) for i in s) for s in subsets]
-    w = max([_width(max(bounds))] + [rows[i][j]._w for i, j in cells if rows[i][j]])
-    neg = {(i, j): {k: -c for k, c in rows[i][j]._at(w).items()} for i, j in cells}
-    for (i, j), terms in neg.items():
-        if i == j:
-            terms[1 << (w * ti)] = 1
-    return w, [(_subset_det([[neg[i, j] for j in s] for i in s], p, budget=budget), e) for s, e in zip(subsets, bounds)]
+def _shifted_det(rows, fields, p, budget=None) -> tuple[int, int, dict]:
+    """det(diag(t_0, ..., t_(n-1)) - A) for A the square rows of polynomial
+    entries, where t_i is the variable of field fields[i], which no entry
+    uses; the fields may repeat (one t throughout: the characteristic
+    polynomial).  Each entry is packed and negated once, and t_i added on
+    the diagonal, at the one width holding every entry and e, the sum over
+    the rows of max(1, the row's largest entry bound), which bounds every
+    exponent of every minor.  Returns that width, e and the packed terms,
+    held to budget (see `_subset_det`)."""
+    e = sum(max([1] + [f._e for f in row]) for row in rows)
+    w, packed = _packed_rows(rows, e)
+    neg = [[{k: -c for k, c in t.items()} for t in row] for row in packed]
+    for i, f in enumerate(fields):
+        neg[i][i][1 << (w * f)] = 1
+    return w, e, _subset_det(neg, p, budget=budget)
 
 
 class PolyMatrix:
@@ -206,7 +206,7 @@ class PolyMatrix:
         """det(name*I - A), with the variable name appended to the context
         when absent.  The caller ensures that no entry uses it."""
         ctx_t = self.ctx if name in self.ctx else self.ctx.with_var(name)
-        w, [(terms, e)] = _char_polys(self.rows, ctx_t.index(name), self.dom.p, [range(self.n)])
+        w, e, terms = _shifted_det(self.rows, [ctx_t.index(name)] * self.n, self.dom.p)
         return MvPolynomial._raw(ctx_t, self.dom, terms, e, w)
 
     def __repr__(self):

@@ -64,6 +64,14 @@ def test_lemma2_runs_all_modes_by_default(capsys):
     assert all(r["pass"] for r in records)
 
 
+def test_lemma2_forced_at_n1_passes_every_mode(capsys):
+    code, out, err = run(capsys, "lemma2", "--n", "1", "--force", "--format", "json")
+    assert code == 0, err
+    records = json.loads(out)
+    assert [r["detail"]["mode"] for r in records] == ["row", "column", "both"]
+    assert all(r["pass"] for r in records)
+
+
 @pytest.mark.parametrize(
     "argv, key, value",
     [

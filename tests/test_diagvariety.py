@@ -1,6 +1,7 @@
 """The D(X) construction, the built-in specializations, and the structural
 identity checks, pinned against displayed values and independent expansion."""
 
+import itertools
 import random
 
 import pytest
@@ -22,7 +23,7 @@ from diagvar import diagvariety, polymatrix, polyring
 from diagvar.errors import ContextError, DomainError, NormalFormError, SizeGuardError
 from diagvar.intlattice import antidiagonal_ones, power_diagonal_check
 from diagvar.polymatrix import CHAR_POLY_GUARD, DET_GUARD, PolyMatrix, polymatrix_from_json
-from diagvar.polyring import GF, ZZ, MvPolynomial, VarContext, parse_poly
+from diagvar.polyring import GF, ZZ, MvPolynomial, VarContext, _width, parse_poly
 from oracles import frobenius_power_bruteforce, perm_det_poly, random_poly, sop_by_polynomial_P
 
 CTX3 = VarContext.matrix(3)
@@ -195,7 +196,7 @@ def test_p_homogeneous_degree_small():
 
 def test_p_generic_guard(monkeypatch):
     # the pair budget refuses the last level of det C(M) before forming
-    # any of it: the six characteristic polynomials form 728 pairs each,
+    # any of it: the determinant that C(M) is read off forms 4,514 pairs,
     # and det C(M) forms only the 110,556 of the levels below the refused
     # one
     pairs = [0]
@@ -207,7 +208,7 @@ def test_p_generic_guard(monkeypatch):
     monkeypatch.setattr(polymatrix, "_mul_into", mul_into)
     with pytest.raises(SizeGuardError, match="^pair guard"):
         compute_P(generic_matrix(6))
-    assert pairs == [6 * 728 + 110556]
+    assert pairs == [4514 + 110556]
     # a silly forced 1x1 call goes through the force path
     assert compute_P(generic_matrix(1), force=True) == 1
 
@@ -262,6 +263,73 @@ def test_p_matches_the_permutation_expansion_of_d_on_random_entries(dom):
         for _ in range(4):
             M = PolyMatrix([[random_poly(rng, ctx, dom, max_terms=3) for _ in range(n)] for _ in range(n)])
             assert compute_P(M) == perm_det_poly(diag_matrix(M).rows, ctx, dom), (n, M.rows)
+
+
+def c_by_principal_minors(M):
+    """C(M) from its definition: entry (r, k) is (-1)^r times the sum of the
+    r-by-r principal minors of M that avoid index k, each minor expanded by
+    permutations."""
+    n, ctx, dom = M.n, M.ctx, M.dom
+    minors = {
+        S: perm_det_poly([[M.rows[i][j] for j in S] for i in S], ctx, dom)
+        for r in range(n)
+        for S in itertools.combinations(range(n), r)
+    }
+    zero = MvPolynomial.zero(ctx, dom)
+    return [
+        [sum((f for S, f in minors.items() if len(S) == r and k not in S), zero) * (-1) ** r for k in range(n)]
+        for r in range(n)
+    ]
+
+
+def assert_c_matches_its_definition(M):
+    # tuple terms, so a stored zero or an unreduced coefficient fails
+    C = diagvariety._c_matrix(M)
+    for r, (row, expected) in enumerate(zip(C.rows, c_by_principal_minors(M))):
+        for k, (f, g) in enumerate(zip(row, expected)):
+            assert dict(f.terms) == dict(g.terms), (r, k, M.rows)
+
+
+@pytest.mark.parametrize("exps", [(0, 1, 2), (0, 1, 130)], ids=["width-8", "width-16"])
+@pytest.mark.parametrize("dom", [ZZ, GF(2), GF(3)], ids=repr)
+def test_c_matches_the_principal_minors_on_random_entries(dom, exps):
+    # the context holds t and _t: C's variables t_k take the fields above
+    # the context, not names; exponents up to 130 need 16-bit fields
+    ctx = VarContext(["t", "_t", "x_1_1"])
+    rng = random.Random(2041 + (dom.p or 0) + exps[-1])
+
+    def entry():
+        terms = {}
+        for _ in range(rng.randint(0, 3)):
+            m = tuple(rng.choice(exps) for _ in ctx.names)
+            terms[m] = terms.get(m, 0) + rng.randint(-3, 3)
+        return MvPolynomial(ctx, dom, terms)
+
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(3 if n < 5 else 1):
+            assert_c_matches_its_definition(PolyMatrix([[entry() for _ in range(n)] for _ in range(n)]))
+
+
+def test_c_keeps_each_exponent_bound_within_its_field_width():
+    # one row of a^60 and three of ones: 3 * 60, a bound on row 3 of C from
+    # the largest entry alone, passes what an 8-bit field holds, and the
+    # sum over the rows, 60 + 3, does not
+    ctx = VarContext(["a"])
+    heavy, one = MvPolynomial.monomial(ctx, ZZ, [60]), MvPolynomial.one(ctx, ZZ)
+    M = PolyMatrix([[heavy] * 4] + [[one] * 4] * 3)
+    for row in diagvariety._c_matrix(M).rows:
+        for f in row:
+            assert _width(f._e) <= f._w, (f._e, f._w)
+    assert_c_matches_its_definition(M)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_c_of_sop_over_gf2_is_reduced(n):
+    # every survivor is x_1_1, so distinct principal minors share one
+    # monomial, and their sum must be reduced mod 2
+    dom = GF(2)
+    X = generic_matrix(n).map_entries(lambda f: f.with_domain(dom))
+    assert_c_matches_its_definition(build_specialization(n, "sop", dom=dom).apply_to_matrix(X))
 
 
 def test_p_of_a_json_matrix_whose_entries_use_t():
@@ -365,6 +433,14 @@ def test_block_factorization_n2():
     assert verify_block_factorization(2, "both")
 
 
+def test_block_factorization_forced_at_n1():
+    # X0 is empty: P(X0) = 1 and det(x_1_1 * I - X0) = 1, and P of any
+    # 1-by-1 matrix is 1
+    assert diagvariety._corner_side(1) == MvPolynomial.one(generic_matrix(1).ctx, ZZ)
+    for mode in ("row", "column", "both"):
+        assert verify_block_factorization(1, mode, force=True), mode
+
+
 def test_block_factorization_all_modes_small():
     for n in (2, 3, 4):
         for mode in ("row", "column", "both"):
@@ -400,9 +476,9 @@ def test_tilde_c_is_the_same_matrix_in_every_mode(n):
 
 
 def test_three_modes_expand_the_corner_determinant_once(monkeypatch):
-    # one mode alone forms 49,437 pairs at n = 5: 23,989 in det C and
-    # 24,180 in the right side's product; the other two modes only build
-    # their C, so the three form 50,607 pairs
+    # the shared corner forms 49,329 pairs at n = 5, 23,989 of them in
+    # det C and 24,180 in the right side's product; each mode adds only its
+    # own C, 268 pairs, so the three form 50,133 pairs
     diagvariety._corner_identity.cache_clear()
     pairs = [0]
 
@@ -414,7 +490,7 @@ def test_three_modes_expand_the_corner_determinant_once(monkeypatch):
     monkeypatch.setattr(polymatrix, "_mul_into", mul_into)
     for mode in ("row", "column", "both"):
         assert verify_block_factorization(5, mode)
-    assert pairs == [50607]
+    assert pairs == [50133]
 
 
 def test_block_factorization_expands_its_own_determinant_when_c_differs(monkeypatch):

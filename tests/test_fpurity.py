@@ -1,12 +1,13 @@
 """Fedder-criterion engine: the membership test and its half-power route,
 cross-checked against brute force."""
 
+import functools
 import random
 
 import pytest
 
 from diagvar import polyring
-from diagvar.diagvariety import _killed_P, _killed_survivors, check_fpure, var
+from diagvar.diagvariety import _killed_survivors, build_specialization, check_fpure, compute_P, generic_matrix, var
 from diagvar.errors import ContextError, DomainError
 from diagvar.fpurity import fedder_check
 from diagvar.guards import WINDOWS
@@ -111,11 +112,19 @@ def test_squarefree_unit_monomial_is_fpure_for_every_prime():
             assert fedder_check(f, p).fpure
 
 
+@functools.lru_cache(maxsize=None)
+def killed_generic(n):
+    """The killed P built in the full n-by-n context: kill_s applied to the
+    generic matrix, not the survivors' matrix that check_fpure expands."""
+    return compute_P(build_specialization(n, "kill_s").apply_to_matrix(generic_matrix(n)), force=True)
+
+
 def killed(n, p):
-    """check_fpure's input: the killed P over GF(p) in its survivors, and
-    the survivors' (i, j)."""
+    """check_fpure's input, by a route of its own: the killed P of the
+    generic matrix restricted to its survivors, over GF(p), and the
+    survivors' (i, j)."""
     cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n]
-    f = _killed_P(n).with_context(VarContext(var(i, j) for i, j in cells)).with_domain(GF(p))
+    f = killed_generic(n).with_context(VarContext(var(i, j) for i, j in cells)).with_domain(GF(p))
     return f, cells
 
 

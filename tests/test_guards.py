@@ -93,25 +93,27 @@ def test_windows_keep_the_internal_routes_within_the_layer_budgets(monkeypatch):
     # cell at its window's top, and compute_P at its own budget (kill_s at
     # n = 7 is the largest P it lets through), must keep the sizes they
     # reach within the det and char_poly budgets and every DP they run
-    # within the pair budget.  Both _char_poly and _c_matrix expand their
-    # characteristic polynomials through the packed route _char_polys, so
-    # the sizes are recorded there
+    # within the pair budget.  _c_matrix expands one determinant of size n
+    # through _shifted_det, so its size is recorded with the determinants;
+    # _char_poly's goes through the same route in polymatrix
     sizes = {"_det": set(), "_char_poly": set()}
 
     def record_det(self, *args, inner=PolyMatrix._det):
         sizes["_det"].add(self.n)
         return inner(self, *args)
 
-    def record_char_polys(rows, ti, p, subsets, budget=None, inner=polymatrix._char_polys):
-        sizes["_char_poly"].update(len(s) for s in subsets)
-        return inner(rows, ti, p, subsets, budget)
+    def recorder(key, inner):
+        def record(rows, *args):
+            sizes[key].add(len(rows))
+            return inner(rows, *args)
+
+        return record
 
     monkeypatch.setattr(PolyMatrix, "_det", record_det)
-    monkeypatch.setattr(polymatrix, "_char_polys", record_char_polys)
-    monkeypatch.setattr(diagvariety, "_char_polys", record_char_polys)
+    monkeypatch.setattr(polymatrix, "_shifted_det", recorder("_char_poly", polymatrix._shifted_det))
+    monkeypatch.setattr(diagvariety, "_shifted_det", recorder("_det", diagvariety._shifted_det))
     pairs = _dp_pairs(monkeypatch)
     # the fedder cells build the killed P afresh, not from the cache
-    monkeypatch.setattr(diagvariety, "_killed_P", diagvariety._killed_P.__wrapped__)
     monkeypatch.setattr(diagvariety, "_killed_survivors", diagvariety._killed_survivors.__wrapped__)
     # and the lemma2 cells expand their shared corner afresh
     monkeypatch.setattr(diagvariety, "_corner_identity", diagvariety._corner_identity.__wrapped__)
@@ -123,24 +125,25 @@ def test_windows_keep_the_internal_routes_within_the_layer_budgets(monkeypatch):
     n = SPECIALIZED_GUARD
     for label in ("sop", "kill_s"):
         compute_P(build_specialization(n, label).apply_to_matrix(generic_matrix(n)))
-    assert n in sizes["_det"] and n - 1 in sizes["_char_poly"]
+    assert n in sizes["_det"] and WINDOWS["lemma2"].hi - 1 in sizes["_char_poly"]
     assert max(sizes["_det"]) <= DET_GUARD, sizes
     assert max(sizes["_char_poly"]) <= CHAR_POLY_GUARD, sizes
     assert 343222 in pairs and max(pairs) <= PAIR_BUDGET
 
 
-def _sop(n: int) -> PolyMatrix:
-    return build_specialization(n, "sop").apply_to_matrix(generic_matrix(n))
+def _tilde(n: int) -> PolyMatrix:
+    return build_specialization(n, "tilde", "both").apply_to_matrix(generic_matrix(n))
 
 
 @pytest.mark.parametrize(
     "M, per_dp",
-    [(generic_matrix(3), [8, 8, 8, 27]), (_sop(3), [2, 4, 6, 3])],
-    ids=["largest-in-the-final-det", "largest-in-a-char-poly"],
+    [(_tilde(3), [18, 23]), (generic_matrix(3), [31, 27])],
+    ids=["largest-in-the-final-det", "largest-in-a-c-matrix-dp"],
 )
 def test_pair_budget_passes_at_the_largest_dp_and_stops_one_pair_below(monkeypatch, M, per_dp):
-    # per DP: C(M)'s n characteristic polynomials, then det C(M); under
-    # sop, a characteristic polynomial forms more pairs than det C(M)
+    # per DP: the determinant that C(M) is read off, then det C(M); on the
+    # generic matrix the first also forms det M, which C(M) drops, and so
+    # forms more pairs than det C(M).  Each DP is held to the budget alone
     pairs = _dp_pairs(monkeypatch)
     P = compute_P(M)
     assert pairs == per_dp
@@ -156,8 +159,8 @@ def test_pair_budget_passes_at_the_largest_dp_and_stops_one_pair_below(monkeypat
 @pytest.mark.parametrize(
     "n, label, mode, formed",
     [
-        (6, "tilde", "both", [268] * 5 + [728, 55436]),
-        (7, "kill_s0", None, [185, 218, 297, 439, 556, 799, 1069, 49833]),
+        (6, "tilde", "both", [1380, 55436]),
+        (7, "kill_s0", None, [1548, 49833]),
     ],
     ids=["tilde-both-6", "kill_s0-7"],
 )

@@ -10,7 +10,7 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from diagvar.diagvariety import build_specialization, check_fpure, compute_P, generic_matrix
+from diagvar.diagvariety import _killed_survivors, build_specialization, check_fpure, compute_P, generic_matrix
 from diagvar.intlattice import (
     IntMatrix,
     antidiagonal_ones,
@@ -68,6 +68,18 @@ def test_killed_P_matches_sympy(n, spec):
     X = generic_matrix(n)
     P = compute_P(build_specialization(n, spec).apply_to_matrix(X))
     assert dict(P.terms) == _terms(_sympy_P(n, SPEC_CUTS[spec](n)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_killed_survivors_P_matches_sympy(n):
+    # check_fpure's input, expanded in the survivors' own context
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n]
+    survivors = [f"x_{i}_{j}" for i, j in cells]
+    f, weight = _killed_survivors(n)
+    assert f.ctx == VarContext(survivors)
+    assert weight == tuple(-i * j for i, j in cells)
+    expected = sympy.Poly(_sympy_P(n, n + 1).as_expr(), *sympy.symbols(survivors))
+    assert dict(f.terms) == {m: int(c) for m, c in expected.terms()}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

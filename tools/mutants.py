@@ -119,8 +119,8 @@ MUTANTS = (
     Mutant(
         "char-poly-t-sign",
         "src/diagvar/polymatrix.py",
-        "terms[1 << (w * ti)] = 1",
-        "terms[1 << (w * ti)] = -1",
+        "neg[i][i][1 << (w * f)] = 1",
+        "neg[i][i][1 << (w * f)] = -1",
         (
             "tests/test_polyring_properties.py::test_characteristic_polynomials_match_the_permutation_expansion",
             "tests/test_polymatrix.py::test_char_poly_single_variable",
@@ -130,23 +130,50 @@ MUTANTS = (
     Mutant(
         "compute_P-t-coefficient-off-by-one",
         "src/diagvar/diagvariety.py",
-        "by_degree.get(n - 1 - r, {})",
-        "by_degree.get(n - r, {})",
+        "acc = row[(bit.bit_length() - 1) // w]",
+        "acc = row[(bit.bit_length() - 1) // w - 1]",
         (
             "tests/test_diagvariety.py::test_p_generic_n2",
-            "tests/test_diagvariety.py::test_p_matches_the_permutation_expansion_of_d_on_random_entries",
+            "tests/test_diagvariety.py::test_c_matches_the_principal_minors_on_random_entries",
             "tests/test_acceptance.py::test_criterion_4_antidiag_unit_coefficients",
         ),
     ),
     Mutant(
         "compute_P-row-0-not-ones",
         "src/diagvar/diagvariety.py",
-        "by_degree.get(n - 1 - r, {})",
-        "(by_degree.get(n - 1 - r, {}) if r else {0: -1})",
+        "        if not ts:\n",
+        "        if ts.bit_count() % n == 0:\n",
         (
             "tests/test_diagvariety.py::test_p_generic_n2",
             "tests/test_diagvariety.py::test_p_matches_the_permutation_expansion_of_d_on_random_entries",
             "tests/test_diagvariety.py::test_p_generic_n5_matches_the_determinant_of_d",
+        ),
+    ),
+    Mutant(
+        "c-term-credited-to-every-k",
+        "src/diagvar/diagvariety.py",
+        "            acc = row[(bit.bit_length() - 1) // w]\n            acc[m] = acc.get(m, 0) + c\n",
+        "            for acc in row:\n                acc[m] = acc.get(m, 0) + c\n",
+        (
+            "tests/test_diagvariety.py::test_c_matches_the_principal_minors_on_random_entries",
+            "tests/test_diagvariety.py::test_p_matches_the_permutation_expansion_of_d_on_random_entries",
+        ),
+    ),
+    Mutant(
+        "c-entry-not-reduced",
+        "src/diagvar/diagvariety.py",
+        "_reduce_in_place(acc, dom.p)",
+        "acc",
+        ("tests/test_diagvariety.py::test_c_of_sop_over_gf2_is_reduced",),
+    ),
+    Mutant(
+        "c-row-map-off-by-one",
+        "src/diagvar/diagvariety.py",
+        "row = C[n - ts.bit_count()]",
+        "row = C[n - 1 - ts.bit_count()]",
+        (
+            "tests/test_diagvariety.py::test_c_matches_the_principal_minors_on_random_entries",
+            "tests/test_diagvariety.py::test_p_generic_n2",
         ),
     ),
     Mutant(
@@ -177,10 +204,10 @@ MUTANTS = (
         ("tests/test_guards.py::test_pair_budget_passes_at_the_largest_dp_and_stops_one_pair_below",),
     ),
     Mutant(
-        "char-polys-budget-dropped",
+        "shifted-det-budget-dropped",
         "src/diagvar/polymatrix.py",
-        "for i in s], p, budget=budget)",
-        "for i in s], p)",
+        "_subset_det(neg, p, budget=budget)",
+        "_subset_det(neg, p)",
         ("tests/test_guards.py::test_pair_budget_passes_at_the_largest_dp_and_stops_one_pair_below",),
     ),
     Mutant(
