@@ -16,7 +16,7 @@ import sys
 
 from . import diagvariety, intlattice
 from .errors import DiagvarError, NormalFormError
-from .guards import PAIR_BUDGET, WINDOWS, describe, guard
+from .guards import LIMITS, PAIR_BUDGET, WINDOWS, describe, guard
 from .polymatrix import polymatrix_from_json
 from .polyring import GF, format_poly
 
@@ -345,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "pofx",
         "compute P for the generic or a specialized matrix",
         n_help=f"matrix size; runs unforced at {describe('pofx')} for the generic matrix, "
-        f"and specialized at n <= {diagvariety.SPECIALIZED_GUARD} while no determinant passes {PAIR_BUDGET} term pairs",
+        f"and specialized at n <= {LIMITS['polymatrix'].hi} while no determinant passes {PAIR_BUDGET} term pairs",
         matrix_help="JSON file with a polynomial matrix",
     )
     p.add_argument("--spec", choices=("s", "s0", "sop", "tilde"))
@@ -369,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "lemma4",
         "power-diagonal span equivalences for a unimodular matrix",
         n_help=f"size of the anti-triangular ones matrix; the suite runs {describe('lemma4')}, "
-        f"and any n <= {intlattice.POWER_SPAN_GUARD} runs unforced",
+        f"and any n <= {LIMITS['power_diagonal'].hi} runs unforced",
         matrix_help="JSON file with an integer matrix",
     )
     p.set_defaults(handler=_handle_lemma4)

@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import intlattice
-from .errors import NormalFormError, SizeGuardError
+from .errors import NormalFormError
 from .fpurity import FedderVerdict, fedder_check
 from .guards import PAIR_BUDGET, guard
 from .polymatrix import PolyMatrix, _shifted_det
@@ -36,7 +36,6 @@ __all__ = [
     "check_fpure",
 ]
 
-SPECIALIZED_GUARD = 7
 TILDE_MODES = ("row", "column", "both")
 
 
@@ -119,16 +118,10 @@ def generic_matrix(n: int) -> PolyMatrix:
     )
 
 
-def _specialized_guard(n: int, force: bool) -> None:
-    # the budget of D(M) and of P(M) for any matrix, specialized or not
-    if n > SPECIALIZED_GUARD and not force:
-        raise SizeGuardError(f"specialized guard (D(M) and P(M) of any matrix): n <= {SPECIALIZED_GUARD}, got {n}")
-
-
 def diag_matrix(M: PolyMatrix, *, force: bool = False) -> PolyMatrix:
     """D(M): entry (i, j) is the i-th diagonal entry of M^(j-1)."""
     n = M.n
-    _specialized_guard(n, force)
+    guard("polymatrix", n, force)
     cols = []
     power = PolyMatrix.identity(M.ctx, M.dom, n)
     cols.append(list(power.diagonal()))
@@ -202,9 +195,10 @@ def _c_matrix(M: PolyMatrix, budget=None) -> PolyMatrix:
 
 def compute_P(M: PolyMatrix, *, force: bool = False) -> MvPolynomial:
     """P(M) = det(D(M)), exactly, expanded as det C(M) (see `_c_matrix`).
-    Unless forced, n <= SPECIALIZED_GUARD, as for diag_matrix, and each
-    determinant expanded forms at most PAIR_BUDGET term pairs."""
-    _specialized_guard(M.n, force)
+    Unless forced, n lies in the polymatrix row of LIMITS, as for
+    diag_matrix, and each determinant expanded forms at most PAIR_BUDGET
+    term pairs."""
+    guard("polymatrix", M.n, force)
     budget = None if force else PAIR_BUDGET
     return _c_matrix(M, budget)._det(None, budget)
 

@@ -8,7 +8,7 @@ import operator
 from bisect import bisect_left, insort
 from typing import NamedTuple
 
-from .errors import NotUnimodularError, SchemaError, SizeGuardError
+from .errors import NotUnimodularError, SchemaError
 from .guards import guard
 
 __all__ = [
@@ -26,9 +26,6 @@ __all__ = [
     "verify_inverse_bands",
     "intmatrix_from_json",
 ]
-
-DET_GUARD = 64
-POWER_SPAN_GUARD = 10
 
 
 class IntMatrix:
@@ -82,8 +79,6 @@ def _fraction_free_reduce(rows: list, n: int):
     has become d*I with d = +-det and every other column is scaled to match,
     so for rows [A | I] the right block is d * A^-1.  Every division is
     exact.  A zero det returns at once with the rows part-reduced."""
-    if n > DET_GUARD:
-        raise SizeGuardError(f"int_det guard: n <= {DET_GUARD}, got {n}")
     m = [list(r) for r in rows]
     sign = 1
     prev = 1
@@ -260,8 +255,7 @@ def power_diagonal_check(A: IntMatrix, *, force: bool = False) -> PowerDiagonalR
     """Check the equivalent span conditions on the diagonals of powers of a
     unimodular matrix; fields a and b must agree."""
     n = A.n
-    if n > POWER_SPAN_GUARD and not force:
-        raise SizeGuardError(f"power diagonal guard: n <= {POWER_SPAN_GUARD}, got {n}")
+    guard("power_diagonal", n, force)
     if abs(int_det(A)) != 1:
         raise NotUnimodularError("matrix must have determinant +1 or -1")
     D = diag_of_powers_matrix(A)

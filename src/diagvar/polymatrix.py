@@ -2,11 +2,11 @@
 determinants and characteristic polynomials.
 
 The determinant uses Laplace expansion with dynamic programming over column
-subsets (2^n states), which avoids exact polynomial division entirely; a
-hard size guard keeps the state count bounded, and an optional budget
-bounds the term pairs it forms, each level counted whole before any of it
-is formed, so a refused determinant stops below the level that would pass
-the budget.  `_subset_det` runs it on packed rows and
+subsets (2^n states), which avoids exact polynomial division entirely; the
+polymatrix row of `guards.LIMITS` keeps the state count bounded, and an
+optional budget bounds the term pairs it forms, each level counted whole
+before any of it is formed, so a refused determinant stops below the level
+that would pass the budget.  `_subset_det` runs it on packed rows and
 forms only completable minors: a boolean pass over the support first finds
 the column sets the lower rows can fill through nonzero entries, and a
 minor whose remaining columns are not among them is skipped, which is
@@ -23,11 +23,9 @@ per row it is the one determinant that C(M) is read off (see
 from __future__ import annotations
 
 from .errors import ContextError, DiagvarError, DomainError, SchemaError, SizeGuardError
+from .guards import guard
 from .polyring import ZZ, Domain, MvPolynomial, VarContext, _tokens, parse_poly
 from .polyring import _bound_masks, _mul_into, _reduce_in_place, _width
-
-DET_GUARD = 8
-CHAR_POLY_GUARD = 7
 
 
 def _packed_rows(rows, e: int):
@@ -164,12 +162,6 @@ class PolyMatrix:
             out.append(orow)
         return PolyMatrix(out)
 
-    def det(self, *, force: bool = False) -> MvPolynomial:
-        """Exact determinant via the subset dynamic program."""
-        if self.n > DET_GUARD and not force:
-            raise SizeGuardError(f"det guard: n <= {DET_GUARD}, got {self.n}")
-        return self._det(None)
-
     def _det(self, bound, budget=None) -> MvPolynomial:
         """The determinant, dropping every monomial with an exponent above
         the per-variable bound (None: no bound), under `_subset_det`'s budget."""
@@ -198,8 +190,7 @@ class PolyMatrix:
                     t_field = ((1 << e._w) - 1) << (e._w * ti)
                     if any(key & t_field for key in e._t):
                         raise ContextError("t is reserved; entries must not use it")
-        if self.n > CHAR_POLY_GUARD and not force:
-            raise SizeGuardError(f"char_poly guard: n <= {CHAR_POLY_GUARD}, got {self.n}")
+        guard("polymatrix", self.n, force)
         return self._char_poly("t")
 
     def _char_poly(self, name: str) -> MvPolynomial:

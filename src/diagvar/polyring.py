@@ -27,7 +27,7 @@ import operator
 import re
 from collections.abc import Iterable, Mapping, Sequence
 from functools import reduce
-from itertools import compress, count, repeat
+from itertools import compress, repeat
 
 from .errors import ContextError, DomainError, PolyParseError
 
@@ -583,54 +583,14 @@ class MvPolynomial:
 
     # -- context and domain changes ---------------------------------------
 
-    def with_context(self, new_ctx: VarContext) -> "MvPolynomial":
-        """Reinterpret in another context, matching variables by name.
-        Fails if a variable actually used here is absent from the target.
-
-        Fields are whole bytes, so each key is moved by a byte gather: the
-        target's fields are read as runs of source bytes (a target variable
-        absent here reads a zero field padded after the source's), and the
-        joined bytes are the new key.  The width and exponent bound are
-        kept."""
-        if new_ctx == self.ctx:
-            return self
-        w, arity = self._w, len(self.ctx)
-        step, field = w // 8, (1 << w) - 1
-        lost = 0
-        for i, name in enumerate(self.ctx.names):
-            if name not in new_ctx:
-                lost |= field << (w * i)
-        for key in self._t:
-            if key & lost:
-                low = key & lost & -(key & lost)
-                name = self.ctx.names[(low.bit_length() - 1) // w]
-                raise ContextError(f"variable {name!r} is not present in the target context")
-        fresh = count(arity)
-        src = [self.ctx._index[name] if name in self.ctx else next(fresh) for name in new_ctx.names]
-        if src == list(range(len(src))):
-            # the source's fields keep their places (the target appends
-            # variables or drops trailing unused ones): every key stays
-            return MvPolynomial._raw(new_ctx, self.dom, self._t, self._e, w)
-        size = step * next(fresh)
-        runs: list = []
-        for i in src:
-            if runs and runs[-1][1] == step * i:
-                runs[-1][1] += step
-            else:
-                runs.append([step * i, step * (i + 1)])
-        get = operator.itemgetter(*(slice(a, b) for a, b in runs))
-        gather = get if len(runs) == 1 else lambda b: b"".join(get(b))
-        keys = map(int.to_bytes, self._t, repeat(size), repeat("little"))
-        moved = map(int.from_bytes, map(gather, keys), repeat("little"))
-        return MvPolynomial._raw(new_ctx, self.dom, dict(zip(moved, self._t.values())), self._e, w)
-
     def with_domain(self, dom: Domain) -> "MvPolynomial":
         """Reinterpret the coefficients; only Z -> Z/p reduction is allowed."""
         if dom == self.dom:
             return self
         if self.dom.is_modp:
             raise DomainError(f"cannot convert coefficients from {self.dom!r} to {dom!r}")
-        # a copy: with_context shares key dicts between polynomials
+        # a copy: _reduce_in_place deletes zero terms from the dict it is
+        # given, and self keeps its own
         terms = _reduce_in_place(dict(self._t), dom.p)
         return MvPolynomial._raw(self.ctx, dom, terms, self._e, self._w)
 

@@ -142,6 +142,14 @@ def test_guard_violation_exits_2_and_names_guard(capsys):
     assert "pofx guard" in err
 
 
+def test_forced_sop_runs_past_64(capsys):
+    # the integer determinant has no bound of its own, so --force reaches
+    # it at any n (about 2 s at n = 65 on a 2-vCPU Xeon VM)
+    code, out, err = run(capsys, "sop", "--n", "65", "--force")
+    assert (code, err) == (0, "")
+    assert "sign=1 exponent=2080 forced=true" in out
+
+
 @pytest.mark.parametrize("target", ["dir", "missing/x.json"], ids=["a-directory", "a-missing-parent"])
 def test_unwritable_out_exits_2_and_names_the_path(capsys, tmp_path, target):
     # exit 1 means a check failed; a report that cannot be written is a

@@ -19,12 +19,13 @@ from diagvar.diagvariety import (
     verify_block_factorization,
     verify_peeling_identity,
 )
-from diagvar import diagvariety, polymatrix, polyring
+from diagvar import diagvariety, intlattice, polymatrix, polyring
 from diagvar.errors import ContextError, DomainError, NormalFormError, SizeGuardError
-from diagvar.intlattice import antidiagonal_ones, power_diagonal_check
-from diagvar.polymatrix import CHAR_POLY_GUARD, DET_GUARD, PolyMatrix, polymatrix_from_json
+from diagvar.guards import LIMITS, describe
+from diagvar.intlattice import IntMatrix, antidiagonal_ones, power_diagonal_check
+from diagvar.polymatrix import PolyMatrix, polymatrix_from_json
 from diagvar.polyring import GF, ZZ, MvPolynomial, VarContext, _width, parse_poly
-from oracles import frobenius_power_bruteforce, perm_det_poly, random_poly, sop_by_polynomial_P
+from oracles import frobenius_power_bruteforce, perm_det_poly, random_poly, sop_by_polynomial_P, tuple_with_context
 
 CTX3 = VarContext.matrix(3)
 
@@ -223,7 +224,7 @@ def test_p_guard_on_a_specialized_n8_matrix_comes_before_any_work(monkeypatch):
 
     monkeypatch.setattr(PolyMatrix, "_det", no_work)
     monkeypatch.setattr(polymatrix, "_subset_det", no_work)
-    with pytest.raises(SizeGuardError, match="n <= 7, got 8"):
+    with pytest.raises(SizeGuardError, match="^polymatrix guard: 1 <= n <= 7; got n = 8$"):
         compute_P(M)
 
 
@@ -232,7 +233,7 @@ def test_p_generic_n5_matches_the_determinant_of_d():
     X = generic_matrix(5)
     P = compute_P(X)
     assert len(P.terms) == 89520
-    assert P == diag_matrix(X).det()
+    assert P == diag_matrix(X)._det(None)
 
 
 def test_killed_determinant_forms_only_completable_minors(monkeypatch):
@@ -240,7 +241,7 @@ def test_killed_determinant_forms_only_completable_minors(monkeypatch):
     # k < n - 1 and only one minor on the top n - 1 rows can be completed;
     # forming all n of them, the DP would form 14,420 term pairs at n = 6
     M = specialized(6, "kill_s")
-    P = diag_matrix(M).det()
+    P = diag_matrix(M)._det(None)
     C = diagvariety._c_matrix(M)
     pairs = []
 
@@ -343,33 +344,48 @@ def test_p_of_a_json_matrix_whose_entries_use_t():
 
 
 def test_specialized_guard_names_the_shared_budget():
-    message = r"^specialized guard \(D\(M\) and P\(M\) of any matrix\): n <= 7, got 8$"
-    M = specialized(8, "kill_s")
+    n = LIMITS["polymatrix"].hi + 1
+    message = f"^polymatrix guard: {describe('polymatrix')}; got n = {n}$"
+    M = specialized(n, "kill_s")
     with pytest.raises(SizeGuardError, match=message):
         compute_P(M)
     with pytest.raises(SizeGuardError, match=message):
         diag_matrix(M)
 
 
+def ones_poly(n):
+    """The anti-triangular ones matrix as constant polynomials: every layer
+    runs on it forced one past its row in a few milliseconds."""
+    ctx = VarContext.matrix(1)
+    return PolyMatrix([[MvPolynomial.constant(ctx, ZZ, a) for a in row] for row in antidiagonal_ones(n).rows])
+
+
 @pytest.mark.parametrize(
-    "call, n",
+    "row, make, call",
     [
-        (PolyMatrix.det, DET_GUARD + 1),
-        (PolyMatrix.char_poly, CHAR_POLY_GUARD + 1),
-        (diag_matrix, diagvariety.SPECIALIZED_GUARD + 1),
+        ("polymatrix", ones_poly, PolyMatrix.char_poly),
+        ("polymatrix", ones_poly, diag_matrix),
+        ("polymatrix", ones_poly, compute_P),
+        ("power_diagonal", antidiagonal_ones, power_diagonal_check),
     ],
-    ids=["det", "char_poly", "diag_matrix"],
+    ids=["char_poly", "diag_matrix", "compute_P", "power_diagonal_check"],
 )
-def test_layer_budget_one_past_comes_before_any_work(monkeypatch, call, n):
-    M = specialized(n, "kill_s")
+def test_layer_budget_one_past_comes_before_any_work(monkeypatch, row, make, call):
+    n = LIMITS[row].hi + 1
+    M = make(n)
 
     def no_work(*args):
         raise AssertionError("a product or a determinant was started")
 
-    for name in ("_det", "_char_poly", "__mul__"):
-        monkeypatch.setattr(PolyMatrix, name, no_work)
-    with pytest.raises(SizeGuardError, match=f"n <= {n - 1}, got {n}"):
-        call(M)
+    with monkeypatch.context() as m:
+        for name in ("_det", "_char_poly", "__mul__"):
+            m.setattr(PolyMatrix, name, no_work)
+        m.setattr(IntMatrix, "__mul__", no_work)
+        m.setattr(polymatrix, "_subset_det", no_work)
+        m.setattr(intlattice, "int_det", no_work)
+        with pytest.raises(SizeGuardError, match=f"^{row} guard: {describe(row)}; got n = {n}$"):
+            call(M)
+    call(M, force=True)
 
 
 SPEC_LABELS = [("kill_s", None), ("kill_s0", None), ("sop", None)] + [("tilde", m) for m in diagvariety.TILDE_MODES]
@@ -457,7 +473,7 @@ def test_block_factorization_matches_independent_expansion_n3():
     p0 = perm_det_poly(diag_matrix(X0).rows, ctx, dom)
     c = X0.char_poly()
     x33 = MvPolynomial.variable(c.ctx, dom, "x_3_3")
-    rhs = p0 * c.substitute({"t": x33}).with_context(ctx)
+    rhs = p0 * tuple_with_context(c.substitute({"t": x33}), ctx)
     assert lhs == rhs
     assert verify_block_factorization(3, "both")
 
@@ -681,7 +697,7 @@ def test_fpure_matches_bruteforce_small_cells():
             for j in range(1, n + 1)
             if i + j <= n
         ]
-        g = f.with_context(VarContext(names)).with_domain(GF(p))
+        g = tuple_with_context(f, VarContext(names)).with_domain(GF(p))
         brute = frobenius_power_bruteforce(g, p)
         v = check_fpure(n, p)
         assert v.fpure == bool(brute.terms)

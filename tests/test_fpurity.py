@@ -12,7 +12,7 @@ from diagvar.errors import ContextError, DomainError
 from diagvar.fpurity import fedder_check
 from diagvar.guards import WINDOWS
 from diagvar.polyring import GF, ZZ, MvPolynomial, VarContext, parse_poly
-from oracles import frobenius_power_bruteforce, random_poly
+from oracles import frobenius_power_bruteforce, random_poly, tuple_with_context
 
 CTX = VarContext(["x_1_1", "x_1_2", "x_2_1"])
 
@@ -124,7 +124,7 @@ def killed(n, p):
     generic matrix restricted to its survivors, over GF(p), and the
     survivors' (i, j)."""
     cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n]
-    f = killed_generic(n).with_context(VarContext(var(i, j) for i, j in cells)).with_domain(GF(p))
+    f = tuple_with_context(killed_generic(n), VarContext(var(i, j) for i, j in cells)).with_domain(GF(p))
     return f, cells
 
 

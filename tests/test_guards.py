@@ -1,17 +1,20 @@
-"""The window table: every check function refuses sizes outside its window
-unless forced, --help prints each window, and the suite enumerated from the
-table is the cell set the benchmark pins.  The pair budget: an unforced
-compute_P stops any determinant DP that would form more term pairs."""
+"""The size tables: every check function refuses sizes outside its window
+unless forced, --help prints each window and layer row, the suite
+enumerated from the windows is the cell set the benchmark pins, and only
+`guard` and the pair budget raise SizeGuardError.  The pair budget: an
+unforced compute_P stops any determinant DP that would form more term
+pairs."""
 
+import ast
 import json
 import time
 from pathlib import Path
 
 import pytest
 
+import diagvar
 from diagvar import cli, diagvariety, polymatrix
 from diagvar.diagvariety import (
-    SPECIALIZED_GUARD,
     antidiag_unit_coeff,
     build_specialization,
     check_fpure,
@@ -22,14 +25,14 @@ from diagvar.diagvariety import (
     verify_peeling_identity,
 )
 from diagvar.errors import SizeGuardError
-from diagvar.guards import PAIR_BUDGET, WINDOWS, describe, guard
+from diagvar.guards import LIMITS, PAIR_BUDGET, WINDOWS, describe, guard
 from diagvar.intlattice import verify_inverse_bands
-from diagvar.polymatrix import CHAR_POLY_GUARD, DET_GUARD, PolyMatrix
+from diagvar.polymatrix import PolyMatrix
 
 PINS = Path(__file__).resolve().parent.parent / "perfbench" / "pins.json"
 
 # the function each check's window guards, called unforced at size n;
-# lemma4's function is limited by power_diagonal_check's own budget instead
+# lemma4's function is limited by the power_diagonal row of LIMITS instead
 GUARDED = {
     "pofx": cli.cell_pofx,
     "lemma2": verify_block_factorization,
@@ -57,10 +60,44 @@ def test_unforced_call_outside_window_fails_fast(check):
 
 
 def test_guard_passes_inside_window_and_when_forced():
-    for check, w in WINDOWS.items():
+    for check, w in {**WINDOWS, **LIMITS}.items():
         for n in (w.lo, w.hi):
             guard(check, n, p=w.primes[0] if w.primes else None)
         guard(check, w.hi + 1, force=True)
+
+
+def _size_guard_raisers(tree: ast.Module, module: str) -> list:
+    """The innermost function around each `raise SizeGuardError` in tree,
+    as module.function (module alone at module level)."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{module}.{child.name}")
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) == "SizeGuardError":
+                    found.append(scope)
+            visit(child, scope)
+
+    visit(tree, module)
+    return found
+
+
+def test_size_policy_lives_in_guard_and_the_pair_budget():
+    # every bound on n is a row of WINDOWS or LIMITS, checked by guard();
+    # the pair budget is counted inside the determinant DP
+    raisers, constants = [], []
+    for path in sorted(Path(diagvar.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        raisers += _size_guard_raisers(tree, path.stem)
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            constants += [t.id for t in targets if isinstance(t, ast.Name) and t.id.endswith("_GUARD")]
+    assert sorted(raisers) == ["guards.guard", "polymatrix._subset_det"]
+    assert constants == []
 
 
 def _dp_pairs(monkeypatch) -> list:
@@ -90,10 +127,10 @@ def _dp_pairs(monkeypatch) -> list:
 def test_windows_keep_the_internal_routes_within_the_layer_budgets(monkeypatch):
     # _det, _char_poly and _c_matrix check no size budget of their own, and
     # only an unforced compute_P hands them the pair budget; every unforced
-    # cell at its window's top, and compute_P at its own budget (kill_s at
+    # cell at its window's top, and compute_P at its own row (kill_s at
     # n = 7 is the largest P it lets through), must keep the sizes they
-    # reach within the det and char_poly budgets and every DP they run
-    # within the pair budget.  _c_matrix expands one determinant of size n
+    # reach within the one polymatrix row and every DP they run within the
+    # pair budget.  _c_matrix expands one determinant of size n
     # through _shifted_det, so its size is recorded with the determinants;
     # _char_poly's goes through the same route in polymatrix
     sizes = {"_det": set(), "_char_poly": set()}
@@ -122,12 +159,11 @@ def test_windows_keep_the_internal_routes_within_the_layer_budgets(monkeypatch):
     for check, kw in cells:
         if kw["n"] == WINDOWS[check].hi:
             assert cli._run_cell((check, kw))["pass"], (check, kw)
-    n = SPECIALIZED_GUARD
+    n = LIMITS["polymatrix"].hi
     for label in ("sop", "kill_s"):
         compute_P(build_specialization(n, label).apply_to_matrix(generic_matrix(n)))
     assert n in sizes["_det"] and WINDOWS["lemma2"].hi - 1 in sizes["_char_poly"]
-    assert max(sizes["_det"]) <= DET_GUARD, sizes
-    assert max(sizes["_char_poly"]) <= CHAR_POLY_GUARD, sizes
+    assert max(sizes["_det"] | sizes["_char_poly"]) <= LIMITS["polymatrix"].hi, sizes
     assert 343222 in pairs and max(pairs) <= PAIR_BUDGET
 
 
@@ -178,12 +214,22 @@ def test_unforced_P_past_the_pair_budget_stops_within_it(monkeypatch, n, label, 
     assert pairs == formed
 
 
+# the layer row each command's --n help prints beside its window
+HELP_LIMITS = {
+    "pofx": f"specialized at n <= {LIMITS['polymatrix'].hi} while",
+    "lemma4": f"any n <= {LIMITS['power_diagonal'].hi} runs unforced",
+}
+
+
 @pytest.mark.parametrize("check", list(WINDOWS))
 def test_help_prints_the_window(capsys, check):
     with pytest.raises(SystemExit) as e:
         cli.main([check, "--help"])
     assert e.value.code == 0
-    assert describe(check) in " ".join(capsys.readouterr().out.split())
+    out = " ".join(capsys.readouterr().out.split())
+    assert describe(check) in out
+    if check in HELP_LIMITS:
+        assert HELP_LIMITS[check] in out
 
 
 def test_suite_help_prints_every_window(capsys):

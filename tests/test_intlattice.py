@@ -53,9 +53,12 @@ def test_det_big_entries_stay_exact():
     assert int_det(A) == big * big - 1
 
 
-def test_det_guard():
-    with pytest.raises(SizeGuardError):
-        int_det(IntMatrix.identity(65))
+def test_det_and_inverse_run_past_64():
+    # no bound of their own: every unforced route into them is bounded
+    # more tightly, and a forced one must not be refused
+    assert int_det(IntMatrix.identity(65)) == 1
+    A = antidiagonal_ones(65)
+    assert unimodular_inverse(A) * A == IntMatrix.identity(65)
 
 
 def test_antidiagonal_ones_family_det_is_unit():

@@ -398,24 +398,7 @@ def test_leading_monomial_grevlex():
     assert g.leading_monomial() == (2, 0, 0)
 
 
-# -- context and domain moves --------------------------------------------
-
-
-def test_with_context_embeds_by_name():
-    f = P("x_1_1*x_2_1 - x_1_2", CTX2)
-    g = f.with_context(CTX3)
-    assert g == P("x_1_1*x_2_1 - x_1_2", CTX3)
-
-
-def test_with_context_rejects_used_variable_loss():
-    f = P("x_1_1*x_3_3", CTX3)
-    with pytest.raises(ContextError):
-        f.with_context(CTX2)
-
-
-def test_with_context_allows_unused_variable_loss():
-    f = P("x_1_1", CTX3)
-    assert f.with_context(CTX2) == P("x_1_1", CTX2)
+# -- domain moves ---------------------------------------------------------
 
 
 def test_with_domain_reduces_mod_p():

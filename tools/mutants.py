@@ -37,26 +37,6 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
-        "with_context-lost-field-test-removed",
-        "src/diagvar/polyring.py",
-        "            if key & lost:\n",
-        "            if False:\n",
-        (
-            "tests/test_polyring.py::test_with_context_rejects_used_variable_loss",
-            "tests/test_polyring_properties.py::test_with_context_matches_the_tuple_oracle",
-        ),
-    ),
-    Mutant(
-        "with_context-gather-slots-swapped",
-        "src/diagvar/polyring.py",
-        "get = operator.itemgetter(*(slice(a, b) for a, b in runs))",
-        "get = operator.itemgetter(*(slice(a, b) for a, b in runs[1::-1] + runs[2:]))",
-        (
-            "tests/test_polyring.py::test_with_context_embeds_by_name",
-            "tests/test_polyring_properties.py::test_with_context_matches_the_tuple_oracle",
-        ),
-    ),
-    Mutant(
         "fedder-mu-smallest-weight",
         "src/diagvar/polyring.py",
         "mu = max(weights, default=0)",
@@ -189,12 +169,33 @@ MUTANTS = (
     Mutant(
         "compute_P-specialized-guard-forced",
         "src/diagvar/diagvariety.py",
-        "    _specialized_guard(M.n, force)\n",
-        "    _specialized_guard(M.n, True)\n",
+        '    guard("polymatrix", M.n, force)\n',
+        '    guard("polymatrix", M.n, True)\n',
         (
             "tests/test_diagvariety.py::test_p_guard_on_a_specialized_n8_matrix_comes_before_any_work",
             "tests/test_diagvariety.py::test_specialized_guard_names_the_shared_budget",
         ),
+    ),
+    Mutant(
+        "limits-row-one-past-its-top",
+        "src/diagvar/guards.py",
+        "        return\n    w = WINDOWS.get(check) or LIMITS[check]\n",
+        "        return\n    w = WINDOWS.get(check) or LIMITS[check]._replace(hi=LIMITS[check].hi + 1)\n",
+        ("tests/test_diagvariety.py::test_layer_budget_one_past_comes_before_any_work",),
+    ),
+    Mutant(
+        "limits-row-ignores-force",
+        "src/diagvar/guards.py",
+        "    if force:\n",
+        "    if force and check in WINDOWS:\n",
+        ("tests/test_diagvariety.py::test_layer_budget_one_past_comes_before_any_work",),
+    ),
+    Mutant(
+        "char-poly-guarded-by-the-power-diagonal-row",
+        "src/diagvar/polymatrix.py",
+        'guard("polymatrix", self.n, force)',
+        'guard("power_diagonal", self.n, force)',
+        ("tests/test_diagvariety.py::test_layer_budget_one_past_comes_before_any_work",),
     ),
     Mutant(
         "pair-budget-inclusive",
