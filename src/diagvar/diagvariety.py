@@ -364,8 +364,10 @@ def check_fpure(n: int, p: int, *, force: bool = False) -> FedderVerdict:
 
     The test is pruned by the weight w(x_i_j) = -i*j, under which the
     product of all survivors is the unique top term of the killed P (checked
-    for n = 3..7), so the half power keeps few terms.  The weight changes
-    only the speed of `fedder_check`, never its verdict or witness."""
+    for n = 3..7): every other term falls below the floor, so each of the
+    p - 1 products of the truncated power pairs one term with one.  The
+    weight changes only the speed of `fedder_check`, never its verdict or
+    witness."""
     guard("fedder", n, force, p)
     f, weight = _killed_survivors(n)
     return fedder_check(f.with_domain(GF(p)), p, weight=weight)

@@ -11,10 +11,9 @@ width.  A product then runs one of two loops, picked by its exponent bound
 alone: a product capped below its field's limit tests each key against the
 cap with a mask, and every other product runs a loop without that test.
 A total degree is its key modulo 2**w - 1 (past a bound, its unit-weight
-`_key_weights` sum).  Exponent tuples are packed by `__init__`, `_key` and
-`mul_coefficient`, unpacked by `terms`, and repacked by `_at` to widen a
-field; formatting reads each key's bytes.  A change of context moves each
-key by a byte gather.
+`_key_weights` sum).  Exponent tuples are packed by `__init__` and `_key`,
+unpacked by `terms`, and repacked by `_at` to widen a field; formatting
+reads each key's bytes.
 
 Coefficients are Python ints, so integer arithmetic never overflows; mod-p
 coefficients are kept as canonical representatives in [0, p).
@@ -333,22 +332,6 @@ class MvPolynomial:
             raise ContextError("monomial arity does not match context arity")
         return self._t.get(self._key(m), 0)
 
-    def mul_coefficient(self, other: "MvPolynomial", exps) -> int:
-        """The coefficient of the given exponent tuple in self * other, read
-        off without forming the product."""
-        self._check_compat(other)
-        m = tuple(exps)
-        if len(m) != len(self.ctx):
-            raise ContextError("monomial arity does not match context arity")
-        if min(m, default=0) < 0:
-            return 0
-        w = max(self._w, other._w, _width(max(m, default=0)))
-        target = _pack(m, w)
-        b = other._at(w)
-        # where a key exceeds the target in some field, target - key borrows,
-        # which sets a field's top bit or the sign: no key of other matches
-        return self.dom.reduce(sum(c * b.get(target - k, 0) for k, c in self._at(w).items()))
-
     def _degrees(self):
         """The total degree of each term.  As 2**w = 1 mod 2**w - 1, it is
         key % (2**w - 1) whenever every degree is below 2**w - 1.  Two
@@ -453,7 +436,7 @@ class MvPolynomial:
         return MvPolynomial._raw(self.ctx, self.dom, _reduce_in_place(out, self.dom.p), e, w)
 
     def pow_capped(
-        self, k: int, cap: int | None = None, weight: Sequence[int] | None = None, top: int | None = None
+        self, k: int, cap: int | None = None, weight: Sequence[int] | None = None, floor: int | None = None
     ) -> "MvPolynomial":
         """Exact k-th power; with a cap, every monomial holding an exponent
         >= cap is deleted (sound because exponents only grow under
@@ -464,38 +447,35 @@ class MvPolynomial:
         pairs two large powers: at k = 6 on the killed P at n = 5 (32 terms,
         cap 13), 1,012,288 pairs against 2,640,160.
 
-        With an integer weight vector and a top, only the terms m of weight
-        w.m >= floor = top - k * mu are returned, each with its exact
-        coefficient; mu is the largest weight of a truncated base term.
-        Every term m whose partner top - m is a term too lies there, as the
-        partner, a product of k base terms, weighs at most k * mu.
+        With an integer weight vector and a floor, only the terms m of
+        weight w.m >= floor are returned, each with its exact coefficient.
 
         The pruning reads one number per term, its deficit: mu - w.b for a
-        base term b, and for a product the sum of its factors' deficits, so
-        j * mu - w.m after j products.  A term of the power is kept exactly
-        when its deficit is at most dmax = k * mu - floor = 2 * k * mu - top.
-        Every factor's deficit is >= 0, so each partial product's deficit is
-        at most the final one's: a term past dmax after any product cannot
-        reach a kept term, and is dropped at once (sound for every weight,
-        as the cap is), while along each contribution to a kept term every
-        partial product was kept too, so the kept term keeps its exact
-        coefficient.  As the bound is the same at every level, the deficit
-        rides in one more packed field, the top one, above the exponents:
-        the key addition adds it, and the cap's mask tests it with a flag
-        bit 2**b > dmax, b the bit length of dmax.  Base terms past dmax go
-        before the first product, and the field is stripped from the
-        result."""
+        base term b, mu the largest weight of a truncated base term, and for
+        a product the sum of its factors' deficits, so j * mu - w.m after j
+        products.  A term of the power is kept exactly when its deficit is
+        at most dmax = k * mu - floor.  Every factor's deficit is >= 0, so
+        each partial product's deficit is at most the final one's: a term
+        past dmax after any product cannot reach a kept term, and is dropped
+        at once (sound for every weight, as the cap is), while along each
+        contribution to a kept term every partial product was kept too, so
+        the kept term keeps its exact coefficient.  As the bound is the same
+        at every level, the deficit rides in one more packed field, the top
+        one, above the exponents: the key addition adds it, and the cap's
+        mask tests it with a flag bit 2**b > dmax, b the bit length of
+        dmax.  Base terms past dmax go before the first product, and the
+        field is stripped from the result."""
         if k < 0:
             raise ValueError("exponent must be non-negative")
         if cap is not None and cap < 1:
             raise ValueError("cap must be at least 1")
-        if (weight is None) != (top is None):
-            raise ValueError("a weight needs a top and a top needs a weight")
+        if (weight is None) != (floor is None):
+            raise ValueError("a weight needs a floor and a floor needs a weight")
         if weight is not None and len(weight) != len(self.ctx):
             raise ContextError("weight length does not match context arity")
         if k == 0:
             one = MvPolynomial.one(self.ctx, self.dom)
-            return one if weight is None or top <= 0 else MvPolynomial.zero(self.ctx, self.dom)
+            return one if weight is None or floor <= 0 else MvPolynomial.zero(self.ctx, self.dom)
         # after j products the exponents are at most j*e, and below the cap;
         # one width holds the last accumulator plus the base for the chain
         e = self._e if cap is None else min(self._e, cap - 1)
@@ -509,7 +489,7 @@ class MvPolynomial:
             shift = w * len(self.ctx)
             weights = _key_weights(base, weight, w)
             mu = max(weights, default=0)
-            dmax = 2 * k * mu - top
+            dmax = k * mu - floor
             if dmax < 0:
                 return MvPolynomial.zero(self.ctx, self.dom)
             base = {key + ((mu - x) << shift): c for (key, c), x in zip(base.items(), weights) if mu - x <= dmax}

@@ -136,19 +136,17 @@ def pow_then_delete(f: MvPolynomial, k: int, cap: int) -> MvPolynomial:
     return delete_high_exponents(power, cap)
 
 
-def floored_power_by_levels(f: MvPolynomial, k: int, cap: int | None, weight, top: int) -> MvPolynomial:
-    """f.pow_capped(k, cap, weight, top) by a floor per level: with mu the
-    largest weight of a base term below the cap and floor = top - k * mu,
-    every term of weight below floor - (k - j) * mu after product j of k
-    (j = 0 included) is dropped, each weight read off the packed key's
-    bytes by `_key_weights`."""
+def floored_power_by_levels(f: MvPolynomial, k: int, cap: int | None, weight, floor: int) -> MvPolynomial:
+    """f.pow_capped(k, cap, weight, floor) by a floor per level: with mu the
+    largest weight of a base term below the cap, every term of weight below
+    floor - (k - j) * mu after product j of k (j = 0 included) is dropped,
+    each weight read off the packed key's bytes by `_key_weights`."""
     e = f._e if cap is None else min(f._e, cap - 1)
     w = max(f._w, _width(k * e))
     masks = _bound_masks(None if cap is None else (cap - 1,) * len(f.ctx), w)
     add, flag = masks
     base = {key: c for key, c in f._at(w).items() if not (key + add) & flag}
     mu = max(_key_weights(base, weight, w), default=0)
-    floor = top - k * mu
     acc = {0: 1}
     for j in range(k + 1):
         if j:
@@ -158,6 +156,19 @@ def floored_power_by_levels(f: MvPolynomial, k: int, cap: int | None, weight, to
         low = floor - (k - j) * mu
         acc = {key: c for (key, c), x in zip(acc.items(), _key_weights(acc, weight, w)) if x >= low}
     return MvPolynomial._raw(f.ctx, f.dom, acc, k * e, w)
+
+
+def split_power_coefficient(f: MvPolynomial, p: int, a: int | None = None) -> int:
+    """The coefficient of t = (p-1, ..., p-1) in f^(p-1), f over GF(p), as
+    the sum of h[m] * h'[t - m] over the exponent tuples m of h = f^a, with
+    h' = f^(p-1-a) and a = (p-1)//2 unless given; each power is formed by
+    `pow_capped` with the cap p and no weight."""
+    a = (p - 1) // 2 if a is None else a
+    h = dict(f.pow_capped(a, cap=p).terms.items())
+    rest = h if 2 * a == p - 1 else dict(f.pow_capped(p - 1 - a, cap=p).terms.items())
+    # every exponent of h is below p, so t - m has no negative entry
+    total = sum(c * rest.get(tuple(p - 1 - x for x in m), 0) for m, c in h.items())
+    return total % p
 
 
 def frobenius_power_bruteforce(f: MvPolynomial, p: int) -> MvPolynomial:

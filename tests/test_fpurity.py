@@ -1,18 +1,20 @@
-"""Fedder-criterion engine: the membership test and its half-power route,
-cross-checked against brute force."""
+"""Fedder-criterion engine: the membership test and its weight-pruned
+power, cross-checked against brute force and, on the killed P, against an
+unweighted split power read off exponent tuples."""
 
 import functools
 import random
+from itertools import product
 
 import pytest
 
 from diagvar import polyring
 from diagvar.diagvariety import _killed_survivors, build_specialization, check_fpure, compute_P, generic_matrix, var
 from diagvar.errors import ContextError, DomainError
-from diagvar.fpurity import fedder_check
+from diagvar.fpurity import FedderVerdict, fedder_check
 from diagvar.guards import WINDOWS
 from diagvar.polyring import GF, ZZ, MvPolynomial, VarContext, parse_poly
-from oracles import frobenius_power_bruteforce, random_poly, tuple_with_context
+from oracles import frobenius_power_bruteforce, random_poly, split_power_coefficient, tuple_with_context
 
 CTX = VarContext(["x_1_1", "x_1_2", "x_2_1"])
 
@@ -119,25 +121,45 @@ def killed_generic(n):
     return compute_P(build_specialization(n, "kill_s").apply_to_matrix(generic_matrix(n)), force=True)
 
 
+@functools.lru_cache(maxsize=None)
 def killed(n, p):
     """check_fpure's input, by a route of its own: the killed P of the
     generic matrix restricted to its survivors, over GF(p), and the
     survivors' (i, j)."""
-    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n]
+    cells = tuple((i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n)
     f = tuple_with_context(killed_generic(n), VarContext(var(i, j) for i, j in cells)).with_domain(GF(p))
     return f, cells
 
 
+@functools.lru_cache(maxsize=None)
+def killed_coefficient(n, p, a=None):
+    """The coefficient of t = (p-1, ..., p-1) in the killed P^(p-1), read
+    off the unweighted split power f^a * f^(p-1-a) by exponent tuples."""
+    return split_power_coefficient(killed(n, p)[0], p, a)
+
+
+def unweighted_verdict(n, p):
+    """fedder_check's verdict on the killed P, which is homogeneous of
+    degree its variable count, so that t is the one monomial that can
+    survive: F-pure with witness t iff killed_coefficient is nonzero."""
+    f, cells = killed(n, p)
+    assert all(sum(m) == len(cells) for m in f.terms)
+    if killed_coefficient(n, p):
+        return FedderVerdict(True, (p - 1,) * len(cells), p, len(cells))
+    return FedderVerdict(False, None, p, len(cells))
+
+
 def test_half_power_matches_a_split_power_on_the_killed_P():
     # the Fedder cell (5, 11): the coefficient of t in f^10, read off the
-    # half power h = f^5 as in fedder_check, must equal the one read off
-    # f^4 * f^6, powers formed by chains of other lengths
+    # half powers f^5 * f^5, must equal the one read off f^4 * f^6, powers
+    # formed by chains of other lengths, and fedder_check's pruned power
+    # must keep t
     p = 11
     f, cells = killed(5, p)
-    t = (p - 1,) * len(cells)
-    h = f.pow_capped(5, cap=p)
-    assert h.mul_coefficient(h, t) == 1
-    assert f.pow_capped(4, cap=p).mul_coefficient(f.pow_capped(6, cap=p), t) == 1
+    assert killed_coefficient(5, p) == 1
+    assert killed_coefficient(5, p, a=4) == 1
+    weight = [-i * j for i, j in cells]
+    assert fedder_check(f, p, weight=weight) == (True, (p - 1,) * len(cells), p, len(cells))
 
 
 # x_1_1, x_1_2, x_2_1 as (i, j): -(i^2 + j^2) does not single out one top term
@@ -145,14 +167,14 @@ SQUARES = [-(i * i + j * j) for i, j in ((1, 1), (1, 2), (2, 1))]
 
 
 def test_weight_changes_no_verdict_on_homogeneous_cubics():
-    # degree 3 in 3 variables, so every p > 2 takes the pruned half-power route
+    # degree 3 in 3 variables, so every p takes the weight-pruned route
     rng = random.Random(3004)
     cubics = [(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)]
     for _ in range(60):
         f = MvPolynomial(CTX, ZZ, {m: rng.randint(-3, 3) for m in rng.sample(cubics, rng.randint(1, 4))})
         if not f:
             continue
-        for p in (3, 5, 7, 11, 13):
+        for p in (2, 3, 5, 7, 11, 13):
             plain = fedder_check(f, p)
             for weight in ([rng.randint(-5, 5) for _ in range(3)], [0, 0, 0], SQUARES):
                 assert fedder_check(f, p, weight=weight) == plain, (f, p, weight)
@@ -173,7 +195,7 @@ def test_weight_changes_no_verdict_on_the_killed_P():
     for n in range(w.lo, w.hi + 1):
         for p in w.primes + (11,):
             f, cells = killed(n, p)
-            plain = fedder_check(f, p)
+            plain = unweighted_verdict(n, p)
             for weight in ([rng.randint(-9, 9) for _ in cells], [0] * len(cells), [-(i * i + j * j) for i, j in cells]):
                 assert fedder_check(f, p, weight=weight) == plain, (n, p, weight)
 
@@ -182,14 +204,34 @@ def test_pruned_check_fpure_agrees_with_the_unweighted_check():
     w = WINDOWS["fedder"]
     window = [(n, p) for n in range(w.lo, w.hi + 1) for p in w.primes if (n, p) not in w.skipped]
     for n, p in window + [(6, 2), (6, 3), (6, 5)]:
-        assert check_fpure(n, p, force=True) == fedder_check(killed(n, p)[0], p), (n, p)
+        assert check_fpure(n, p, force=True) == unweighted_verdict(n, p), (n, p)
 
 
-def test_check_fpure_6_5_forms_two_term_pairs(monkeypatch):
+def test_weight_changes_no_verdict_or_witness_where_t_is_not_the_only_survivor():
+    # the weight is used only when f is homogeneous of degree its variable
+    # count; elsewhere a floor at w.t could drop the surviving terms, or
+    # change the leading one that is the witness
+    rng = random.Random(3006)
+    by_degree = {d: [m for m in product(range(d + 1), repeat=3) if sum(m) == d] for d in (2, 4)}
+    polys = [random_poly(rng, CTX, ZZ, max_terms=4, max_exp=2) for _ in range(40)]
+    for monomials in by_degree.values():
+        for _ in range(20):
+            terms = {m: rng.randint(-3, 3) for m in rng.sample(monomials, rng.randint(1, 4))}
+            polys.append(MvPolynomial(CTX, ZZ, terms))
+    for f in polys:
+        if not f or f.homogeneous_degree() == len(CTX):
+            continue
+        for p in (2, 3, 5):
+            plain = fedder_check(f, p)
+            for weight in ([rng.randint(-5, 5) for _ in range(3)], [1, 0, 0], SQUARES):
+                assert fedder_check(f, p, weight=weight) == plain, (f, p, weight)
+
+
+def test_check_fpure_forms_p_minus_one_term_pairs(monkeypatch):
     # under -i*j every base term but the top one has a positive deficit and
-    # the bound is 0, so each of the two products pairs one term with one
-    # (2,414 pairs with a floor read per level)
-    _killed_survivors(6)
+    # the bound is 0, so each of the p - 1 products pairs one term with one
+    for n in range(2, 7):
+        _killed_survivors(n)
     pairs = []
     mul_into = polyring._mul_into
 
@@ -198,18 +240,22 @@ def test_check_fpure_6_5_forms_two_term_pairs(monkeypatch):
         return mul_into(out, ta, tb, *rest)
 
     monkeypatch.setattr(polyring, "_mul_into", counting)
-    assert check_fpure(6, 5, force=True).fpure
-    assert 0 < sum(pairs) <= 2
+    for n in range(2, 7):
+        for p in (2, 3, 5, 7):
+            pairs.clear()
+            assert check_fpure(n, p, force=True).fpure, (n, p)
+            assert pairs == [1] * (p - 1), (n, p)
 
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_half_power_of_the_killed_P_is_the_top_term_alone(n):
     # m, the product of the survivors, is the unique top term of the killed
-    # P under -i*j, so the half power pruned by that weight is c^k * m^k
+    # P under -i*j, of weight mu = w.(1, ..., 1), so the half power pruned
+    # at the floor k * mu is c^k * m^k
     f, weight = _killed_survivors(n)
     for p in (3, 5, 7):
         k = (p - 1) // 2
-        h = f.with_domain(GF(p)).pow_capped(k, cap=p, weight=weight, top=(p - 1) * sum(weight))
+        h = f.with_domain(GF(p)).pow_capped(k, cap=p, weight=weight, floor=k * sum(weight))
         ((m, c),) = h.terms.items()
         assert m == (k,) * len(weight), (n, p)
         assert c in (1, p - 1), (n, p)
@@ -223,7 +269,7 @@ def test_check_fpure_6_7():
 
 
 def test_the_fedder_path_reads_no_exponent_tuples(monkeypatch):
-    # the restriction to the survivors and the half-power route work on
+    # the restriction to the survivors and the weight-pruned power work on
     # packed keys alone; an exponent tuple read anywhere on them fails here
     def no_tuples(f):
         raise AssertionError("exponent tuples read on the Fedder path")
@@ -237,8 +283,8 @@ def test_the_fedder_path_reads_no_exponent_tuples(monkeypatch):
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("text", ["x_1_1*x_1_2*x_2_1", "x_1_1 + x_1_2*x_2_1"], ids=["homogeneous", "inhomogeneous"])
 def test_a_weight_must_match_the_variables(text, p):
-    # the homogeneous cubic takes the half-power route at p = 3 and 5, the
-    # inhomogeneous f the full truncated power; p = 2 takes it for both
+    # the homogeneous cubic uses the weight and the inhomogeneous f ignores
+    # it, but both reject one of the wrong length
     for weight in ([1, 2], [1, 2, 3, 4]):
         with pytest.raises(ContextError):
             fedder_check(P(text), p, weight=weight)

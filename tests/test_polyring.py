@@ -280,31 +280,30 @@ def test_pow_capped_rejects_bad_arguments():
     with pytest.raises(ValueError):
         f.pow_capped(2, weight=[1, 0, 0, 0])
     with pytest.raises(ValueError):
-        f.pow_capped(2, top=0)
+        f.pow_capped(2, floor=0)
     with pytest.raises(ContextError):
-        f.pow_capped(2, weight=[1], top=0)
+        f.pow_capped(2, weight=[1], floor=0)
 
 
 def test_floored_power_keeps_every_contribution():
-    # with weight 1 on x_1_1, mu = 1, and top 3 puts the floor at
-    # 3 - 2 * mu = 1: x_1_1*x_1_2 is kept, and one of its two contributions
-    # passes through x_1_2, of weight 0 after one product
+    # with weight 1 on x_1_1 and the floor 1, x_1_1*x_1_2 is kept, and one
+    # of its two contributions passes through x_1_2, of weight 0 after one
+    # product
     f = P("x_1_1 + x_1_2")
     weight = [1, 0, 0, 0]
-    assert f.pow_capped(2, weight=weight, top=3) == P("x_1_1^2 + 2*x_1_1*x_1_2")
-    assert f.pow_capped(2, cap=2, weight=weight, top=3) == P("2*x_1_1*x_1_2")
-    # x_1_1^300 is packed in 16-bit fields, where its high byte weighs 256;
-    # mu = 150 and top 450 put the floor at 150
+    assert f.pow_capped(2, weight=weight, floor=1) == P("x_1_1^2 + 2*x_1_1*x_1_2")
+    assert f.pow_capped(2, cap=2, weight=weight, floor=1) == P("2*x_1_1*x_1_2")
+    # x_1_1^300 is packed in 16-bit fields, where its high byte weighs 256
     g = P("x_1_1^150 + x_1_2")
-    assert g.pow_capped(2, weight=weight, top=450) == P("x_1_1^300 + 2*x_1_1^150*x_1_2")
-    # the floor of the 0-th power is the top itself
-    assert f.pow_capped(0, weight=weight, top=1) == MvPolynomial.zero(CTX2, ZZ)
-    assert f.pow_capped(0, weight=weight, top=0) == MvPolynomial.one(CTX2, ZZ)
+    assert g.pow_capped(2, weight=weight, floor=150) == P("x_1_1^300 + 2*x_1_1^150*x_1_2")
+    # the 0-th power is one, of weight 0
+    assert f.pow_capped(0, weight=weight, floor=1) == MvPolynomial.zero(CTX2, ZZ)
+    assert f.pow_capped(0, weight=weight, floor=0) == MvPolynomial.one(CTX2, ZZ)
 
 
 def test_deficit_bound_keeps_a_term_at_it_and_drops_one_past_it():
     # (x_1_1 + x_1_2)^2 under weight v on x_1_1: mu = v, and x_1_1^2,
-    # x_1_1*x_1_2 and x_1_2^2 have deficits 0, v and 2v; top = 4v - dmax
+    # x_1_1*x_1_2 and x_1_2^2 have deficits 0, v and 2v; floor = 2v - dmax
     # sets the bound dmax.  At v = 128 and 300 the deficits need a field of
     # two bytes, and 255 < 2v = 256 sits at the one-byte limit
     square = {(2, 0, 0, 0): 1, (1, 1, 0, 0): 2, (0, 2, 0, 0): 1}
@@ -314,7 +313,7 @@ def test_deficit_bound_keeps_a_term_at_it_and_drops_one_past_it():
         for d in sorted({0, 1, v, 2 * v}):
             for dmax in (d - 1, d):
                 kept = {m: c for m, c in square.items() if deficit[m] <= dmax}
-                got = f.pow_capped(2, weight=[v, 0, 0, 0], top=4 * v - dmax)
+                got = f.pow_capped(2, weight=[v, 0, 0, 0], floor=2 * v - dmax)
                 assert got == MvPolynomial(CTX2, ZZ, kept), (v, dmax)
 
 

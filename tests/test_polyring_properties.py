@@ -49,11 +49,7 @@ def test_ring_axioms(f, g, h):
 def test_product_matches_tuple_oracle(dom, data):
     f = data.draw(polys(dom, st.integers(-30, 30)))
     g = data.draw(polys(dom, st.integers(-30, 30)))
-    fg = f * g
-    assert fg == tuple_product(f, g)
-    probe = data.draw(MONOMIALS)
-    for m in list(fg.terms) + [probe]:
-        assert f.mul_coefficient(g, m) == fg.coefficient(m)
+    assert f * g == tuple_product(f, g)
 
 
 @PROPERTY
@@ -102,11 +98,11 @@ DEFICIT_BOUNDS = st.sampled_from((-2, -1, 0, 1, 127, 128, 255, 256, 600, 70000))
 @PROPERTY
 @given(st.sampled_from([ZZ, GF(7)]), st.sampled_from([0, 62, 126, 16382]), st.integers(0, 3), st.data())
 def test_pow_capped_with_a_floor_keeps_the_power_above_it(dom, offset, k, data):
-    # the power with a top is the capped power restricted, by tuple
-    # arithmetic, to the terms of weight >= floor = top - k * mu, mu the
-    # largest weight of a base term below the cap, and the per-level route
+    # the power with a floor is the capped power restricted, by tuple
+    # arithmetic, to the terms of weight >= floor, and the per-level route
     # gives it too; floors are drawn at and beside the weights the power's
-    # terms reach, or set by a deficit bound
+    # terms reach, or set by a deficit bound k * mu - floor, mu the largest
+    # weight of a base term below the cap
     exps = st.one_of(st.integers(0, 2), st.integers(offset, offset + 3))
     f = data.draw(polys(dom, st.integers(-30, 30), monomials=st.tuples(exps, exps, exps), max_terms=4))
     cap = data.draw(st.one_of(st.integers(1, 6), st.integers(max(1, k * offset - 3), k * (offset + 3) + 3)))
@@ -120,9 +116,8 @@ def test_pow_capped_with_a_floor_keeps_the_power_above_it(dom, offset, k, data):
         reached = sorted({weigh(weight, m) for m in full.terms}, reverse=True)
         floor = data.draw(st.sampled_from(reached) if reached else st.integers(-20, 20)) + data.draw(st.integers(-1, 1))
     kept = MvPolynomial(CTX, dom, {m: c for m, c in full.terms.items() if weigh(weight, m) >= floor})
-    top = floor + k * mu
-    assert f.pow_capped(k, cap=cap, weight=weight, top=top) == kept
-    assert floored_power_by_levels(f, k, cap, weight, top) == kept
+    assert f.pow_capped(k, cap=cap, weight=weight, floor=floor) == kept
+    assert floored_power_by_levels(f, k, cap, weight, floor) == kept
 
 
 SUBST_MONOMIALS = st.tuples(st.integers(0, 70), st.one_of(st.integers(0, 3), st.integers(64, 70)), st.integers(0, 2))
@@ -146,23 +141,6 @@ def test_substitute_is_ring_homomorphism(f, g, s):
     assert f.substitute(asg) == tuple_substitute(f, CTX.index("b"), s)
     assert (f * g).substitute(asg) == f.substitute(asg) * g.substitute(asg)
     assert (f + g).substitute(asg) == f.substitute(asg) + g.substitute(asg)
-
-
-def test_mul_coefficient_of_a_monomial_past_the_field():
-    # packed in 8-bit fields, a^16400 would read as a^16 * b^64
-    f = MvPolynomial(CTX, ZZ, {(16, 0, 0): 1})
-    g = MvPolynomial(CTX, ZZ, {(0, 64, 0): 1})
-    assert f.mul_coefficient(g, (16, 64, 0)) == 1
-    assert f.mul_coefficient(g, (16400, 0, 0)) == 0
-
-
-def test_mul_coefficient_of_a_power_past_the_field():
-    # h = a^200 + 2*a^100*b + b^2 must be packed wider than 8 bits: in 8-bit
-    # fields a^200 * a^100*b = a^300*b would carry into b's field and read
-    # as a^44 * b^2
-    h = MvPolynomial(CTX, ZZ, {(100, 0, 0): 1, (0, 1, 0): 1}).pow_capped(2)
-    assert h.mul_coefficient(h, (300, 1, 0)) == 4
-    assert h.mul_coefficient(h, (44, 2, 0)) == 0
 
 
 DEGREE_EXPONENTS = st.one_of(st.integers(0, 3), st.integers(124, 131), st.integers(32764, 32771))

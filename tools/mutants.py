@@ -47,10 +47,17 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "fedder-weight-without-homogeneity",
+        "src/diagvar/fpurity.py",
+        "    if t is None:\n        weight = None\n",
+        "",
+        ("tests/test_fpurity.py::test_weight_changes_no_verdict_or_witness_where_t_is_not_the_only_survivor",),
+    ),
+    Mutant(
         "pow_capped-floor-one-mu-high",
         "src/diagvar/polyring.py",
-        "dmax = 2 * k * mu - top",
-        "dmax = (2 * k - 1) * mu - top",
+        "dmax = k * mu - floor\n",
+        "dmax = (k - 1) * mu - floor\n",
         (
             "tests/test_polyring.py::test_floored_power_keeps_every_contribution",
             "tests/test_polyring_properties.py::test_pow_capped_with_a_floor_keeps_the_power_above_it",
@@ -59,8 +66,8 @@ MUTANTS = (
     Mutant(
         "pow_capped-deficit-bound-one-past",
         "src/diagvar/polyring.py",
-        "dmax = 2 * k * mu - top",
-        "dmax = 2 * k * mu - top + 1",
+        "dmax = k * mu - floor\n",
+        "dmax = k * mu - floor + 1\n",
         (
             "tests/test_polyring.py::test_deficit_bound_keeps_a_term_at_it_and_drops_one_past_it",
             "tests/test_polyring_properties.py::test_pow_capped_with_a_floor_keeps_the_power_above_it",
