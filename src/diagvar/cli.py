@@ -181,12 +181,75 @@ def _thread_cap() -> int:
 
 def _run_cells(cells) -> list:
     cap = _thread_cap()
-    if cap > 1 and len(cells) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(cap, len(cells))) as pool:
-            return list(pool.map(_run_cell, cells))
+    if cap > 1 and len(cells) > 1 and hasattr(os, "fork"):
+        return _run_forked(cells, min(cap, len(cells)))
     return [_run_cell(c) for c in cells]
+
+
+def _run_forked(cells, workers: int) -> list:
+    """The records of cells, run on forked workers that pull cell indices
+    from one pipe.  An error is re-raised as the serial run would: that of
+    the lowest failing index."""
+    import pickle
+    import signal
+
+    todo, feed = os.pipe()
+    # every index as 2 bytes in one write: it fits PIPE_BUF, so the write
+    # cannot block and each 2-byte read takes one whole index
+    os.write(feed, b"".join(i.to_bytes(2, "little") for i in range(len(cells))))
+    os.close(feed)
+    live = {}  # pid -> read end of its result pipe
+    try:
+        for _ in range(workers):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _work(cells, todo, w)
+            os.close(w)
+            live[pid] = r
+        triples = []
+        for pid, r in list(live.items()):
+            with open(r, "rb", closefd=False) as fh:
+                data = fh.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(live.pop(pid))
+            if status:
+                raise DiagvarError(f"suite worker {pid} exited with status {status}")
+            triples += pickle.loads(data)
+    finally:
+        os.close(todo)
+        for pid, r in live.items():
+            os.close(r)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    triples.sort()
+    for _, _, err in triples:
+        if err is not None:
+            raise err
+    return [record for _, record, _ in triples]
+
+
+def _work(cells, todo: int, out: int) -> None:
+    """A forked worker's body: run the cells whose indices it reads from
+    todo and pickle (index, record, exception) triples into out.  It ends
+    in os._exit, so it never returns into the CLI or flushes the inherited
+    stdio buffers a second time."""
+    import pickle
+
+    status = 1
+    try:
+        done = []
+        while chunk := os.read(todo, 2):
+            i = int.from_bytes(chunk, "little")
+            try:
+                done.append((i, _run_cell(cells[i]), None))
+            except Exception as e:
+                done.append((i, None, e))
+        with open(out, "wb") as fh:
+            pickle.dump(done, fh)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 # -- command handlers ----------------------------------------------------------

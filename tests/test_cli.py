@@ -2,11 +2,14 @@
 matrix loading diagnostics."""
 
 import json
+import os
+import select
 
 import pytest
 
 from diagvar import cli
-from diagvar.errors import NormalFormError
+from diagvar.errors import DiagvarError, NormalFormError
+from diagvar.guards import WINDOWS
 
 
 def run(capsys, *argv):
@@ -266,18 +269,96 @@ def test_suite_respects_checks_subset(capsys):
     assert {r["check"] for r in records} == {"sop", "lemma5"}
 
 
-def test_suite_parallel_matches_serial(capsys, monkeypatch):
-    _, serial, _ = run(capsys, "suite", "--max-n", "2", "--primes", "2,3", "--format", "json")
-    monkeypatch.setenv("DIAGVAR_THREADS", "2")
-    _, parallel, _ = run(capsys, "suite", "--max-n", "2", "--primes", "2,3", "--format", "json")
-    assert serial == parallel
-
-
 def test_bad_threads_env(capsys, monkeypatch):
     monkeypatch.setenv("DIAGVAR_THREADS", "many")
     code, _, err = run(capsys, "suite", "--max-n", "2")
     assert code == 2
     assert "DIAGVAR_THREADS" in err
+
+
+def test_negative_threads_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("DIAGVAR_THREADS", "-1")
+    code, out, err = run(capsys, "suite", "--max-n", "2")
+    assert code == 2
+    assert out == ""
+    assert "DIAGVAR_THREADS" in err
+
+
+# -- the forked suite -----------------------------------------------------------
+
+SUITE_12 = ("suite", "--max-n", "12", "--primes", "2,3,5,7")
+
+
+def assert_no_child_left():
+    """Every worker has been reaped: the process has no child, running or not."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_suite_parallel_matches_serial(capsys, monkeypatch):
+    # forked first: its workers fill no cache of this process for the serial run
+    forked = {}
+    for threads in ("2", "0"):
+        monkeypatch.setenv("DIAGVAR_THREADS", threads)
+        forked[threads] = [run(capsys, *SUITE_12, "--format", fmt) for fmt in ("json", "text")]
+        assert_no_child_left()
+    monkeypatch.delenv("DIAGVAR_THREADS")
+    serial = [run(capsys, *SUITE_12, "--format", fmt) for fmt in ("json", "text")]
+    assert serial[0][0] == 0
+    assert forked == {"2": serial, "0": serial}
+
+
+def _fail_induction_at(monkeypatch, bad):
+    real = cli._CELL_FUNCS["induction"]
+
+    def cell(n, force=False):
+        if n in bad:
+            raise DiagvarError(f"synthetic defect at n={n}")
+        return real(n, force)
+
+    monkeypatch.setitem(cli._CELL_FUNCS, "induction", cell)
+
+
+@pytest.mark.parametrize("bad", [(4,), (3, 5)], ids=["one", "two"])
+def test_a_worker_error_is_the_serial_error(capsys, monkeypatch, bad):
+    _fail_induction_at(monkeypatch, bad)
+    argv = ("suite", "--max-n", "6", "--checks", "induction,lemma5")
+    serial = run(capsys, *argv)
+    assert serial == (2, "", f"error: synthetic defect at n={bad[0]}\n")
+    monkeypatch.setenv("DIAGVAR_THREADS", "2")
+    assert run(capsys, *argv) == serial
+    assert_no_child_left()
+
+
+def test_a_worker_that_dies_makes_the_suite_exit_2(capsys, monkeypatch):
+    parent = os.getpid()
+
+    def cell(n, force=False):
+        if os.getpid() == parent:
+            raise RuntimeError("the cell ran in the test process")
+        os._exit(3)
+
+    monkeypatch.setitem(cli._CELL_FUNCS, "induction", cell)
+    monkeypatch.setenv("DIAGVAR_THREADS", "2")
+    code, out, err = run(capsys, "suite", "--max-n", "4", "--checks", "induction,lemma5")
+    assert code == 2
+    assert out == ""
+    assert "worker" in err and "status 3" in err
+    assert_no_child_left()
+
+
+def test_the_suite_runs_serially_where_fork_is_missing(capsys, monkeypatch):
+    argv = ("suite", "--max-n", "4", "--format", "json")
+    serial = run(capsys, *argv)
+    monkeypatch.setenv("DIAGVAR_THREADS", "2")
+    monkeypatch.delattr(cli.os, "fork")
+    assert run(capsys, *argv) == serial
+
+
+def test_the_largest_suites_indices_fit_one_atomic_pipe_write():
+    max_n = max(w.hi for w in WINDOWS.values())
+    cells = cli._suite_cells(max_n, WINDOWS["fedder"].primes, cli.SUITE_CHECKS)
+    assert 2 * len(cells) <= select.PIPE_BUF
 
 
 def test_failing_check_exits_1(capsys, monkeypatch):

@@ -14,6 +14,8 @@ from diagvar.polyring import (
     MvPolynomial,
     VarContext,
     _is_prime,
+    _pack,
+    _unpack,
     format_poly,
     parse_poly,
 )
@@ -425,3 +427,17 @@ def test_concurrent_use_of_shared_values_is_deterministic():
         cubes = list(pool.map(lambda _: f.pow_capped(3, cap=4), range(32)))
     assert all(h == expected for h in products)
     assert all(h == cube for h in cubes)
+
+
+@pytest.mark.parametrize("w", [8, 16])
+def test_unpack_matches_the_per_field_read(w):
+    rng = random.Random(w)
+    field = (1 << w) - 1
+    for arity in (1, 3, 9):
+        exps = [(0,) * arity, (field,) * arity] + [
+            tuple(rng.randrange(field + 1) for _ in range(arity)) for _ in range(50)
+        ]
+        for m in exps:
+            key = _pack(m, w)
+            per_field = tuple((key >> (w * i)) & field for i in range(arity))
+            assert _unpack(key, w, arity) == per_field == m

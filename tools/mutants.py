@@ -372,6 +372,20 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "forked-worker-drops-a-record",
+        "src/diagvar/cli.py",
+        "done.append((i, _run_cell(cells[i]), None))",
+        "done.append((i, _run_cell(cells[i]), None)) if i else None",
+        ("tests/test_cli.py::test_suite_parallel_matches_serial",),
+    ),
+    Mutant(
+        "forked-highest-failing-index-raised",
+        "src/diagvar/cli.py",
+        "for _, _, err in triples:",
+        "for _, _, err in reversed(triples):",
+        ("tests/test_cli.py::test_a_worker_error_is_the_serial_error",),
+    ),
+    Mutant(
         "int-det-no-sign-flip-on-row-swap",
         "src/diagvar/intlattice.py",
         "                    sign = -sign\n",
