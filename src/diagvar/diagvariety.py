@@ -20,7 +20,7 @@ from .errors import NormalFormError
 from .fpurity import FedderVerdict, fedder_check
 from .guards import PAIR_BUDGET, guard
 from .polymatrix import PolyMatrix, _shifted_det
-from .polyring import GF, ZZ, Domain, MvPolynomial, VarContext, _reduce_in_place
+from .polyring import ZZ, Domain, MvPolynomial, VarContext, _reduce_in_place
 
 __all__ = [
     "Specialization",
@@ -339,12 +339,24 @@ def sop_normal_form(n: int, *, force: bool = False) -> SopNormalForm:
     return SopNormalForm(sign=c, exponent=n * (n - 1) // 2)
 
 
+def _fedder_base(f: MvPolynomial, weight) -> MvPolynomial:
+    """in_w(f) when f is homogeneous of degree its variable count and the
+    product of all its variables is a term of in_w(f); f itself otherwise.
+    Either has f's Fedder verdict and witness at every p (see
+    `check_fpure`)."""
+    top = f.initial_form(weight)
+    nvars = len(f.ctx)
+    if f.homogeneous_degree() == nvars and top.coefficient((1,) * nvars):
+        return top
+    return f
+
+
 @lru_cache(maxsize=None)
 def _killed_survivors(n: int) -> tuple:
-    """The killed P over Z in its survivors (i + j <= n), and the weight
-    -i*j of each survivor x_i_j.  The kill_s matrix is made in the
-    survivors' context, x_i_j at i + j <= n and zero elsewhere, so P needs
-    no restriction."""
+    """The killed P over Z in its survivors (i + j <= n), and its Fedder
+    base under the weight -i*j of each survivor x_i_j.  The kill_s matrix is
+    made in the survivors' context, x_i_j at i + j <= n and zero elsewhere,
+    so P needs no restriction."""
     # reached only through check_fpure's own guard (or an explicit force)
     cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n]
     ctx = VarContext(var(i, j) for i, j in cells)
@@ -355,19 +367,25 @@ def _killed_survivors(n: int) -> tuple:
             for i in range(1, n + 1)
         ]
     )
-    return compute_P(M, force=True), tuple(-i * j for i, j in cells)
+    P = compute_P(M, force=True)
+    return P, _fedder_base(P, [-i * j for i, j in cells])
 
 
 def check_fpure(n: int, p: int, *, force: bool = False) -> FedderVerdict:
     """Specialize P by the anti-diagonal kill, reinterpret it over F_p in the
     surviving variables (i + j <= n), and run the Fedder membership test.
 
-    The test is pruned by the weight w(x_i_j) = -i*j, under which the
-    product of all survivors is the unique top term of the killed P (checked
-    for n = 3..7): every other term falls below the floor, so each of the
-    p - 1 products of the truncated power pairs one term with one.  The
-    weight changes only the speed of `fedder_check`, never its verdict or
-    witness."""
+    The test runs on the initial form in_w(P) under the weight
+    w(x_i_j) = -i*j, read once per n, when two hypotheses hold, and on P
+    otherwise: P is homogeneous of degree its variable count, and the
+    product m of all survivors is a term of in_w(P).  Then every term of P
+    weighs at most w.m, and t = (p-1, ..., p-1) weighs (p-1) * w.m, so a
+    product of p - 1 terms of P reaches t only if each factor has top
+    weight: coef_t(P^(p-1)) = coef_t(in_w(P)^(p-1)) over Z, and so mod
+    every p.  Both are homogeneous of degree their variable count, so t is
+    the one monomial that can survive the cap, and the verdict and witness
+    are read off that coefficient alone.  The argument covers every n; the
+    code checks both hypotheses at each n (in_w(P) is then +-m, checked
+    for n = 2..7, so each of the p - 1 products pairs one term with one)."""
     guard("fedder", n, force, p)
-    f, weight = _killed_survivors(n)
-    return fedder_check(f.with_domain(GF(p)), p, weight=weight)
+    return fedder_check(_killed_survivors(n)[1], p)

@@ -11,7 +11,8 @@ width.  A product then runs one of two loops, picked by its exponent bound
 alone: a product capped below its field's limit tests each key against the
 cap with a mask, and every other product runs a loop without that test.
 A total degree is its key modulo 2**w - 1 (past a bound, its unit-weight
-`_key_weights` sum).  Exponent tuples are packed by `__init__` and `_key`,
+`_key_weights` sum), and `initial_form` reads each key's weight by
+`_key_weights` too.  Exponent tuples are packed by `__init__` and `_key`,
 unpacked by `terms`, and repacked by `_at` to widen a field; formatting
 reads each key's bytes.
 
@@ -437,9 +438,7 @@ class MvPolynomial:
         _mul_into(out, self._at(w), other._at(w))
         return MvPolynomial._raw(self.ctx, self.dom, _reduce_in_place(out, self.dom.p), e, w)
 
-    def pow_capped(
-        self, k: int, cap: int | None = None, weight: Sequence[int] | None = None, floor: int | None = None
-    ) -> "MvPolynomial":
+    def pow_capped(self, k: int, cap: int | None = None) -> "MvPolynomial":
         """Exact k-th power; with a cap, every monomial holding an exponent
         >= cap is deleted (sound because exponents only grow under
         multiplication).  The base is truncated at the cap once, and an
@@ -447,37 +446,13 @@ class MvPolynomial:
         capped terms as each product forms.  For a small sparse base this
         forms fewer term pairs than square-and-multiply, whose last product
         pairs two large powers: at k = 6 on the killed P at n = 5 (32 terms,
-        cap 13), 1,012,288 pairs against 2,640,160.
-
-        With an integer weight vector and a floor, only the terms m of
-        weight w.m >= floor are returned, each with its exact coefficient.
-
-        The pruning reads one number per term, its deficit: mu - w.b for a
-        base term b, mu the largest weight of a truncated base term, and for
-        a product the sum of its factors' deficits, so j * mu - w.m after j
-        products.  A term of the power is kept exactly when its deficit is
-        at most dmax = k * mu - floor.  Every factor's deficit is >= 0, so
-        each partial product's deficit is at most the final one's: a term
-        past dmax after any product cannot reach a kept term, and is dropped
-        at once (sound for every weight, as the cap is), while along each
-        contribution to a kept term every partial product was kept too, so
-        the kept term keeps its exact coefficient.  As the bound is the same
-        at every level, the deficit rides in one more packed field, the top
-        one, above the exponents: the key addition adds it, and the cap's
-        mask tests it with a flag bit 2**b > dmax, b the bit length of
-        dmax.  Base terms past dmax go before the first product, and the
-        field is stripped from the result."""
+        cap 13), 1,012,288 pairs against 2,640,160."""
         if k < 0:
             raise ValueError("exponent must be non-negative")
         if cap is not None and cap < 1:
             raise ValueError("cap must be at least 1")
-        if (weight is None) != (floor is None):
-            raise ValueError("a weight needs a floor and a floor needs a weight")
-        if weight is not None and len(weight) != len(self.ctx):
-            raise ContextError("weight length does not match context arity")
         if k == 0:
-            one = MvPolynomial.one(self.ctx, self.dom)
-            return one if weight is None or floor <= 0 else MvPolynomial.zero(self.ctx, self.dom)
+            return MvPolynomial.one(self.ctx, self.dom)
         # after j products the exponents are at most j*e, and below the cap;
         # one width holds the last accumulator plus the base for the chain
         e = self._e if cap is None else min(self._e, cap - 1)
@@ -487,17 +462,6 @@ class MvPolynomial:
         w = max(self._w, _width(acc_e + e))
         add, flag = _bound_masks(None if cap is None else (cap - 1,) * len(self.ctx), w)
         base = {key: c for key, c in self._at(w).items() if not (key + add) & flag}
-        if weight is not None:
-            shift = w * len(self.ctx)
-            weights = _key_weights(base, weight, w)
-            mu = max(weights, default=0)
-            dmax = k * mu - floor
-            if dmax < 0:
-                return MvPolynomial.zero(self.ctx, self.dom)
-            base = {key + ((mu - x) << shift): c for (key, c), x in zip(base.items(), weights) if mu - x <= dmax}
-            bit = 1 << dmax.bit_length()
-            add |= (bit - 1 - dmax) << shift
-            flag |= bit << shift
         p = self.dom.p
         acc: dict = {0: 1}
         for _ in range(k):
@@ -505,10 +469,19 @@ class MvPolynomial:
             _mul_into(out, acc, base, 1, (add, flag))
             acc = out  # frees the previous power before the reduction
             _reduce_in_place(acc, p)
-        if weight is not None:
-            exps = (1 << shift) - 1
-            acc = {key & exps: c for key, c in acc.items()}
         return MvPolynomial._raw(self.ctx, self.dom, acc, out_e, w)
+
+    def initial_form(self, weight: Sequence[int]) -> "MvPolynomial":
+        """in_w(self): the terms of largest weight sum(weight[i] * e_i), for
+        an integer weight per variable, each read off its packed key by
+        `_key_weights`.  Z and Z/p are domains, so in_w(f * g) =
+        in_w(f) * in_w(g)."""
+        if len(weight) != len(self.ctx):
+            raise ContextError("weight length does not match context arity")
+        weights = _key_weights(self._t, weight, self._w)
+        mu = max(weights, default=0)
+        top = {key: c for (key, c), x in zip(self._t.items(), weights) if x == mu}
+        return MvPolynomial._raw(self.ctx, self.dom, top, self._e, self._w)
 
     def substitute(self, assignments: Mapping[str, "MvPolynomial"]) -> "MvPolynomial":
         """Simultaneous substitution of variables by polynomials

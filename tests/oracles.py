@@ -5,15 +5,7 @@ from itertools import permutations
 from diagvar.diagvariety import build_specialization, compute_P, generic_matrix
 from diagvar.errors import ContextError
 from diagvar.intlattice import IntMatrix
-from diagvar.polyring import (
-    GF,
-    MvPolynomial,
-    _bound_masks,
-    _key_weights,
-    _mul_into,
-    _reduce_in_place,
-    _width,
-)
+from diagvar.polyring import GF, MvPolynomial
 
 
 def perm_sign(perm) -> int:
@@ -136,26 +128,12 @@ def pow_then_delete(f: MvPolynomial, k: int, cap: int) -> MvPolynomial:
     return delete_high_exponents(power, cap)
 
 
-def floored_power_by_levels(f: MvPolynomial, k: int, cap: int | None, weight, floor: int) -> MvPolynomial:
-    """f.pow_capped(k, cap, weight, floor) by a floor per level: with mu the
-    largest weight of a base term below the cap, every term of weight below
-    floor - (k - j) * mu after product j of k (j = 0 included) is dropped,
-    each weight read off the packed key's bytes by `_key_weights`."""
-    e = f._e if cap is None else min(f._e, cap - 1)
-    w = max(f._w, _width(k * e))
-    masks = _bound_masks(None if cap is None else (cap - 1,) * len(f.ctx), w)
-    add, flag = masks
-    base = {key: c for key, c in f._at(w).items() if not (key + add) & flag}
-    mu = max(_key_weights(base, weight, w), default=0)
-    acc = {0: 1}
-    for j in range(k + 1):
-        if j:
-            out: dict = {}
-            _mul_into(out, acc, base, 1, masks)
-            acc = _reduce_in_place(out, f.dom.p)
-        low = floor - (k - j) * mu
-        acc = {key: c for (key, c), x in zip(acc.items(), _key_weights(acc, weight, w)) if x >= low}
-    return MvPolynomial._raw(f.ctx, f.dom, acc, k * e, w)
+def tuple_initial_form(f: MvPolynomial, weight) -> MvPolynomial:
+    """The terms of f whose exponent tuples m reach the largest
+    sum(weight[i] * m[i])."""
+    weights = {m: sum(c * e for c, e in zip(weight, m)) for m in f.terms}
+    top = max(weights.values(), default=0)
+    return MvPolynomial(f.ctx, f.dom, {m: c for m, c in f.terms.items() if weights[m] == top})
 
 
 def split_power_coefficient(f: MvPolynomial, p: int, a: int | None = None) -> int:

@@ -1,6 +1,7 @@
-"""Fedder-criterion engine: the membership test and its weight-pruned
-power, cross-checked against brute force and, on the killed P, against an
-unweighted split power read off exponent tuples."""
+"""Fedder-criterion engine: the membership test and the base it runs on,
+the initial form under a weight where that is exact, cross-checked against
+brute force and, on the killed P, against an unweighted split power read
+off exponent tuples."""
 
 import functools
 import random
@@ -8,8 +9,16 @@ from itertools import product
 
 import pytest
 
-from diagvar import polyring
-from diagvar.diagvariety import _killed_survivors, build_specialization, check_fpure, compute_P, generic_matrix, var
+from diagvar import diagvariety, polyring
+from diagvar.diagvariety import (
+    _fedder_base,
+    _killed_survivors,
+    build_specialization,
+    check_fpure,
+    compute_P,
+    generic_matrix,
+    var,
+)
 from diagvar.errors import ContextError, DomainError
 from diagvar.fpurity import FedderVerdict, fedder_check
 from diagvar.guards import WINDOWS
@@ -152,14 +161,17 @@ def unweighted_verdict(n, p):
 def test_half_power_matches_a_split_power_on_the_killed_P():
     # the Fedder cell (5, 11): the coefficient of t in f^10, read off the
     # half powers f^5 * f^5, must equal the one read off f^4 * f^6, powers
-    # formed by chains of other lengths, and fedder_check's pruned power
-    # must keep t
+    # formed by chains of other lengths, and check_fpure's power of the
+    # initial form must keep t
     p = 11
     f, cells = killed(5, p)
     assert killed_coefficient(5, p) == 1
     assert killed_coefficient(5, p, a=4) == 1
-    weight = [-i * j for i, j in cells]
-    assert fedder_check(f, p, weight=weight) == (True, (p - 1,) * len(cells), p, len(cells))
+    assert check_fpure(5, p, force=True) == (True, (p - 1,) * len(cells), p, len(cells))
+
+
+def weigh(weight, m):
+    return sum(a * b for a, b in zip(weight, m))
 
 
 # x_1_1, x_1_2, x_2_1 as (i, j): -(i^2 + j^2) does not single out one top term
@@ -167,24 +179,31 @@ SQUARES = [-(i * i + j * j) for i, j in ((1, 1), (1, 2), (2, 1))]
 
 
 def test_weight_changes_no_verdict_on_homogeneous_cubics():
-    # degree 3 in 3 variables, so every p takes the weight-pruned route
+    # degree 3 in 3 variables, so the base is in_w(f) wherever
+    # x_1_1*x_1_2*x_2_1 is a top term, and f elsewhere
     rng = random.Random(3004)
     cubics = [(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)]
+    initial = 0
     for _ in range(60):
         f = MvPolynomial(CTX, ZZ, {m: rng.randint(-3, 3) for m in rng.sample(cubics, rng.randint(1, 4))})
         if not f:
             continue
-        for p in (2, 3, 5, 7, 11, 13):
-            plain = fedder_check(f, p)
-            for weight in ([rng.randint(-5, 5) for _ in range(3)], [0, 0, 0], SQUARES):
-                assert fedder_check(f, p, weight=weight) == plain, (f, p, weight)
+        for weight in ([rng.randint(-5, 5) for _ in range(3)], [0, 0, 0], SQUARES):
+            base = _fedder_base(f, weight)
+            initial += base != f
+            for p in (2, 3, 5, 7, 11, 13):
+                assert fedder_check(base, p) == fedder_check(f, p), (f, p, weight)
+    assert initial
 
 
 def test_fermat_cubic_is_fpure_iff_p_is_1_mod_3_under_every_weight():
+    # x_1_1*x_1_2*x_2_1 is not a term, so under every weight the base is f
     f = P("x_1_1^3 + x_1_2^3 + x_2_1^3")
-    for p in (5, 7, 11, 13, 17, 19):
-        for weight in (None, [3, -1, 2], [0, 0, 0], SQUARES):
-            v = fedder_check(f, p, weight=weight)
+    for weight in (None, [3, -1, 2], [0, 0, 0], SQUARES):
+        base = f if weight is None else _fedder_base(f, weight)
+        assert base is f
+        for p in (5, 7, 11, 13, 17, 19):
+            v = fedder_check(base, p)
             assert v.fpure == (p % 3 == 1), (p, weight)
             assert v.witness == ((p - 1,) * 3 if p % 3 == 1 else None)
 
@@ -197,7 +216,42 @@ def test_weight_changes_no_verdict_on_the_killed_P():
             f, cells = killed(n, p)
             plain = unweighted_verdict(n, p)
             for weight in ([rng.randint(-9, 9) for _ in cells], [0] * len(cells), [-(i * i + j * j) for i, j in cells]):
-                assert fedder_check(f, p, weight=weight) == plain, (n, p, weight)
+                assert fedder_check(_fedder_base(f, weight), p) == plain, (n, p, weight)
+
+
+def survivor_weight(f, fn):
+    """fn(i, j) for each survivor x_i_j of f's context, in its order."""
+    return [fn(int(i), int(j)) for i, j in (name.split("_")[1:] for name in f.ctx.names)]
+
+
+@pytest.mark.parametrize("n, ties", [(4, 1), (5, 7), (6, 79)])
+def test_a_weight_that_ties_m_keeps_every_top_term(n, ties):
+    # under -(i^2 + j^2) no term of the killed P weighs more than the
+    # product m of the survivors, but other terms weigh as much: the base
+    # is in_w(P), m and those terms, and the verdict is still P's
+    f, _ = _killed_survivors(n)
+    weight = survivor_weight(f, lambda i, j: -(i * i + j * j))
+    top = weigh(weight, (1,) * len(weight))
+    assert max(weigh(weight, m) for m in f.terms) == top
+    base = _fedder_base(f, weight)
+    assert dict(base.terms) == {m: c for m, c in f.terms.items() if weigh(weight, m) == top}
+    assert len(base.terms) == ties + 1
+    # the oracle's half power at (6, 7) forms 142 million term pairs
+    for p in (2, 3, 5, 7) if n < 6 else (2, 3, 5):
+        assert fedder_check(base, p) == unweighted_verdict(n, p), (n, p)
+
+
+@pytest.mark.parametrize("n, above", [(4, 4), (5, 31), (6, 1238)])
+def test_a_weight_with_terms_above_m_falls_back_to_P(n, above):
+    # under i*j every other term of the killed P weighs more than the
+    # product m of the survivors, so the base is P itself
+    f, _ = _killed_survivors(n)
+    weight = survivor_weight(f, lambda i, j: i * j)
+    top = weigh(weight, (1,) * len(weight))
+    assert sum(weigh(weight, m) > top for m in f.terms) == above
+    assert _fedder_base(f, weight) is f
+    for p in (2, 3, 5) if n < 6 else (2, 3):
+        assert fedder_check(f, p) == unweighted_verdict(n, p), (n, p)
 
 
 def test_pruned_check_fpure_agrees_with_the_unweighted_check():
@@ -208,12 +262,15 @@ def test_pruned_check_fpure_agrees_with_the_unweighted_check():
 
 
 def test_weight_changes_no_verdict_or_witness_where_t_is_not_the_only_survivor():
-    # the weight is used only when f is homogeneous of degree its variable
-    # count; elsewhere a floor at w.t could drop the surviving terms, or
-    # change the leading one that is the witness
+    # where f is not homogeneous of degree its variable count, the base is f
+    # under every weight: an initial form there could drop the surviving
+    # terms, or change the leading one that is the witness.  Under (1, 1, 1)
+    # the first f's initial form is 2*x_1_1*x_1_2*x_2_1, zero mod 2, while
+    # f mod 2 is x_1_1, F-pure
     rng = random.Random(3006)
     by_degree = {d: [m for m in product(range(d + 1), repeat=3) if sum(m) == d] for d in (2, 4)}
-    polys = [random_poly(rng, CTX, ZZ, max_terms=4, max_exp=2) for _ in range(40)]
+    polys = [P("2*x_1_1*x_1_2*x_2_1 + x_1_1"), P("x_1_1*x_1_2*x_2_1 + x_1_1^2*x_1_2^2")]
+    polys += [random_poly(rng, CTX, ZZ, max_terms=4, max_exp=2) for _ in range(40)]
     for monomials in by_degree.values():
         for _ in range(20):
             terms = {m: rng.randint(-3, 3) for m in rng.sample(monomials, rng.randint(1, 4))}
@@ -221,15 +278,16 @@ def test_weight_changes_no_verdict_or_witness_where_t_is_not_the_only_survivor()
     for f in polys:
         if not f or f.homogeneous_degree() == len(CTX):
             continue
-        for p in (2, 3, 5):
-            plain = fedder_check(f, p)
-            for weight in ([rng.randint(-5, 5) for _ in range(3)], [1, 0, 0], SQUARES):
-                assert fedder_check(f, p, weight=weight) == plain, (f, p, weight)
+        for weight in ([rng.randint(-5, 5) for _ in range(3)], [1, 0, 0], [1, 1, 1], SQUARES):
+            base = _fedder_base(f, weight)
+            for p in (2, 3, 5):
+                assert fedder_check(base, p) == fedder_check(f, p), (f, p, weight)
+            assert base is f, (f, weight)
 
 
 def test_check_fpure_forms_p_minus_one_term_pairs(monkeypatch):
-    # under -i*j every base term but the top one has a positive deficit and
-    # the bound is 0, so each of the p - 1 products pairs one term with one
+    # under -i*j the base is in_w(P) = +-m, one term, so each of the p - 1
+    # products pairs one term with one
     for n in range(2, 7):
         _killed_survivors(n)
     pairs = []
@@ -247,44 +305,63 @@ def test_check_fpure_forms_p_minus_one_term_pairs(monkeypatch):
             assert pairs == [1] * (p - 1), (n, p)
 
 
+def test_the_initial_form_is_read_once_per_n(monkeypatch):
+    # the base is cached with P: check_fpure at four primes reads one
+    # initial form per n
+    calls = []
+    initial_form = MvPolynomial.initial_form
+
+    def counting(f, weight):
+        calls.append(len(f.ctx))
+        return initial_form(f, weight)
+
+    monkeypatch.setattr(MvPolynomial, "initial_form", counting)
+    monkeypatch.setattr(diagvariety, "_killed_survivors", functools.lru_cache(_killed_survivors.__wrapped__))
+    for n in range(2, 6):
+        for p in (2, 3, 5, 7):
+            check_fpure(n, p, force=True)
+    assert calls == [1, 3, 6, 10]
+
+
 @pytest.mark.parametrize("n", range(3, 7))
 def test_half_power_of_the_killed_P_is_the_top_term_alone(n):
-    # m, the product of the survivors, is the unique top term of the killed
-    # P under -i*j, of weight mu = w.(1, ..., 1), so the half power pruned
-    # at the floor k * mu is c^k * m^k
-    f, weight = _killed_survivors(n)
+    # m, the product of the survivors, is the only term of in_w(P) under
+    # -i*j, with coefficient +-1, so the half power of the base is c^k * m^k
+    f, base = _killed_survivors(n)
+    nvars = len(f.ctx)
     for p in (3, 5, 7):
         k = (p - 1) // 2
-        h = f.with_domain(GF(p)).pow_capped(k, cap=p, weight=weight, floor=k * sum(weight))
+        h = base.with_domain(GF(p)).pow_capped(k, cap=p)
         ((m, c),) = h.terms.items()
-        assert m == (k,) * len(weight), (n, p)
+        assert m == (k,) * nvars, (n, p)
         assert c in (1, p - 1), (n, p)
 
 
 def test_check_fpure_6_7():
-    # out of the window: without the weight this cell forms 142 million term pairs
+    # out of the window: on P instead of its initial form this cell forms
+    # 142 million term pairs
     v = check_fpure(6, 7, force=True)
     assert v.fpure
     assert v.witness == (6,) * 15
 
 
 def test_the_fedder_path_reads_no_exponent_tuples(monkeypatch):
-    # the restriction to the survivors and the weight-pruned power work on
-    # packed keys alone; an exponent tuple read anywhere on them fails here
+    # the killed P, its initial form and the truncated power work on packed
+    # keys alone; an exponent tuple read anywhere on them fails here
     def no_tuples(f):
         raise AssertionError("exponent tuples read on the Fedder path")
 
     monkeypatch.setattr(MvPolynomial, "terms", property(no_tuples))
-    f, weight = _killed_survivors.__wrapped__(5)
+    _, base = _killed_survivors.__wrapped__(5)
     for p in (3, 5, 7, 11):
-        assert fedder_check(f, p, weight=weight) == check_fpure(5, p, force=True)
+        assert fedder_check(base, p) == check_fpure(5, p, force=True)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("text", ["x_1_1*x_1_2*x_2_1", "x_1_1 + x_1_2*x_2_1"], ids=["homogeneous", "inhomogeneous"])
 def test_a_weight_must_match_the_variables(text, p):
-    # the homogeneous cubic uses the weight and the inhomogeneous f ignores
-    # it, but both reject one of the wrong length
+    # the homogeneous cubic may take its initial form and the inhomogeneous
+    # f never does, but both reject a weight of the wrong length
     for weight in ([1, 2], [1, 2, 3, 4]):
         with pytest.raises(ContextError):
-            fedder_check(P(text), p, weight=weight)
+            _fedder_base(P(text, GF(p)), weight)

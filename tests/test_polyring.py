@@ -279,44 +279,6 @@ def test_pow_capped_rejects_bad_arguments():
         f.pow_capped(-1)
     with pytest.raises(ValueError):
         f.pow_capped(2, cap=0)
-    with pytest.raises(ValueError):
-        f.pow_capped(2, weight=[1, 0, 0, 0])
-    with pytest.raises(ValueError):
-        f.pow_capped(2, floor=0)
-    with pytest.raises(ContextError):
-        f.pow_capped(2, weight=[1], floor=0)
-
-
-def test_floored_power_keeps_every_contribution():
-    # with weight 1 on x_1_1 and the floor 1, x_1_1*x_1_2 is kept, and one
-    # of its two contributions passes through x_1_2, of weight 0 after one
-    # product
-    f = P("x_1_1 + x_1_2")
-    weight = [1, 0, 0, 0]
-    assert f.pow_capped(2, weight=weight, floor=1) == P("x_1_1^2 + 2*x_1_1*x_1_2")
-    assert f.pow_capped(2, cap=2, weight=weight, floor=1) == P("2*x_1_1*x_1_2")
-    # x_1_1^300 is packed in 16-bit fields, where its high byte weighs 256
-    g = P("x_1_1^150 + x_1_2")
-    assert g.pow_capped(2, weight=weight, floor=150) == P("x_1_1^300 + 2*x_1_1^150*x_1_2")
-    # the 0-th power is one, of weight 0
-    assert f.pow_capped(0, weight=weight, floor=1) == MvPolynomial.zero(CTX2, ZZ)
-    assert f.pow_capped(0, weight=weight, floor=0) == MvPolynomial.one(CTX2, ZZ)
-
-
-def test_deficit_bound_keeps_a_term_at_it_and_drops_one_past_it():
-    # (x_1_1 + x_1_2)^2 under weight v on x_1_1: mu = v, and x_1_1^2,
-    # x_1_1*x_1_2 and x_1_2^2 have deficits 0, v and 2v; floor = 2v - dmax
-    # sets the bound dmax.  At v = 128 and 300 the deficits need a field of
-    # two bytes, and 255 < 2v = 256 sits at the one-byte limit
-    square = {(2, 0, 0, 0): 1, (1, 1, 0, 0): 2, (0, 2, 0, 0): 1}
-    f = P("x_1_1 + x_1_2")
-    for v in (1, 128, 300):
-        deficit = {(2, 0, 0, 0): 0, (1, 1, 0, 0): v, (0, 2, 0, 0): 2 * v}
-        for d in sorted({0, 1, v, 2 * v}):
-            for dmax in (d - 1, d):
-                kept = {m: c for m, c in square.items() if deficit[m] <= dmax}
-                got = f.pow_capped(2, weight=[v, 0, 0, 0], floor=2 * v - dmax)
-                assert got == MvPolynomial(CTX2, ZZ, kept), (v, dmax)
 
 
 def test_large_exponents_widen_the_field():

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from diagvar.errors import ContextError
 from diagvar.polymatrix import PolyMatrix
 from diagvar.polyring import GF, ZZ, MvPolynomial, VarContext, _bound_masks, _mul_into, _reduce_in_place, format_poly
 from oracles import (
-    floored_power_by_levels,
     perm_det_poly,
     pow_then_delete,
     tuple_format_poly,
+    tuple_initial_form,
     tuple_product,
     tuple_substitute,
     tuple_with_context,
@@ -84,40 +85,32 @@ def test_pow_capped_matches_power_then_delete(offset, k, data):
     assert f.pow_capped(k, cap=cap) == pow_then_delete(f, k, cap)
 
 
-def weigh(weight, m):
-    return sum(a * b for a, b in zip(weight, m))
-
-
-# weights of every sign, some wide enough that a deficit needs two bytes
-WEIGHTS = st.sampled_from((1, -2, 3, 0, -1, 2, -3, 300, -300, 129))
-# deficit bounds dmax = k * mu - floor: none kept, the top terms alone, and
-# bounds beside the one-byte and two-byte limits of the deficit field
-DEFICIT_BOUNDS = st.sampled_from((-2, -1, 0, 1, 127, 128, 255, 256, 600, 70000))
+# exponents on both sides of the 8-bit and 16-bit field limits, so a
+# weight is read off keys of one, two and three bytes per field
+WIDE_EXPONENTS = st.one_of(st.integers(0, 3), st.integers(125, 130), st.integers(32765, 32770))
+# weights of every sign, some wide enough that a weight needs two bytes
+WEIGHTS = st.one_of(st.sampled_from((1, -2, 3, 0, -1, 2, -3, 300, -300, 129)), st.integers(-70000, 70000))
 
 
 @PROPERTY
-@given(st.sampled_from([ZZ, GF(7)]), st.sampled_from([0, 62, 126, 16382]), st.integers(0, 3), st.data())
-def test_pow_capped_with_a_floor_keeps_the_power_above_it(dom, offset, k, data):
-    # the power with a floor is the capped power restricted, by tuple
-    # arithmetic, to the terms of weight >= floor, and the per-level route
-    # gives it too; floors are drawn at and beside the weights the power's
-    # terms reach, or set by a deficit bound k * mu - floor, mu the largest
-    # weight of a base term below the cap
-    exps = st.one_of(st.integers(0, 2), st.integers(offset, offset + 3))
-    f = data.draw(polys(dom, st.integers(-30, 30), monomials=st.tuples(exps, exps, exps), max_terms=4))
-    cap = data.draw(st.one_of(st.integers(1, 6), st.integers(max(1, k * offset - 3), k * (offset + 3) + 3)))
+@given(st.sampled_from([ZZ, GF(7)]), st.data())
+def test_initial_form_matches_the_tuple_oracle(dom, data):
+    f = data.draw(polys(dom, st.integers(-30, 30), max_terms=5, monomials=st.tuples(*[WIDE_EXPONENTS] * 3)))
     weight = data.draw(st.tuples(*[WEIGHTS] * len(CTX)))
-    full = pow_then_delete(f, k, cap)
-    mu = max((weigh(weight, m) for m in f.terms if max(m) < cap), default=0)
-    if data.draw(st.booleans()):
-        floor = k * mu - data.draw(DEFICIT_BOUNDS)
-    else:
-        # the top weights first: hypothesis tries the first entries most
-        reached = sorted({weigh(weight, m) for m in full.terms}, reverse=True)
-        floor = data.draw(st.sampled_from(reached) if reached else st.integers(-20, 20)) + data.draw(st.integers(-1, 1))
-    kept = MvPolynomial(CTX, dom, {m: c for m, c in full.terms.items() if weigh(weight, m) >= floor})
-    assert f.pow_capped(k, cap=cap, weight=weight, floor=floor) == kept
-    assert floored_power_by_levels(f, k, cap, weight, floor) == kept
+    assert f.initial_form(weight) == tuple_initial_form(f, weight)
+    with pytest.raises(ContextError):
+        f.initial_form(weight[:2])
+    with pytest.raises(ContextError):
+        f.initial_form(weight + (1,))
+
+
+@PROPERTY
+@given(st.sampled_from([ZZ, GF(2), GF(7)]), st.tuples(*[WEIGHTS] * 3), st.data())
+def test_initial_form_of_a_product_is_the_product_of_initial_forms(dom, weight, data):
+    # Z and Z/p are domains, so the top coefficients' product is nonzero
+    f = data.draw(polys(dom, st.integers(-30, 30), monomials=st.tuples(*[WIDE_EXPONENTS] * 3)))
+    g = data.draw(polys(dom, st.integers(-30, 30), monomials=st.tuples(*[WIDE_EXPONENTS] * 3)))
+    assert (f * g).initial_form(weight) == f.initial_form(weight) * g.initial_form(weight)
 
 
 SUBST_MONOMIALS = st.tuples(st.integers(0, 70), st.one_of(st.integers(0, 3), st.integers(64, 70)), st.integers(0, 2))

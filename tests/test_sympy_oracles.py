@@ -75,11 +75,25 @@ def test_killed_survivors_P_matches_sympy(n):
     # check_fpure's input, expanded in the survivors' own context
     cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n]
     survivors = [f"x_{i}_{j}" for i, j in cells]
-    f, weight = _killed_survivors(n)
-    assert f.ctx == VarContext(survivors)
-    assert weight == tuple(-i * j for i, j in cells)
+    f, base = _killed_survivors(n)
+    assert f.ctx == VarContext(survivors) == base.ctx
     expected = sympy.Poly(_sympy_P(n, n + 1).as_expr(), *sympy.symbols(survivors))
     assert dict(f.terms) == {m: int(c) for m, c in expected.terms()}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_killed_P_initial_form_is_the_survivor_product_in_sympy(n):
+    # the hypothesis check_fpure's base rests on, read off sympy's own
+    # killed P: under -i*j its top-weight terms are exactly m, the product
+    # of the survivors, with coefficient +-1
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n]
+    expected = sympy.Poly(_sympy_P(n, n + 1).as_expr(), *sympy.symbols([f"x_{i}_{j}" for i, j in cells]))
+    weighed = [(sum(-i * j * e for (i, j), e in zip(cells, m)), m, int(c)) for m, c in expected.terms()]
+    top = max(x for x, _, _ in weighed)
+    ((m, c),) = [(m, c) for x, m, c in weighed if x == top]
+    assert m == (1,) * len(cells)
+    assert c in (1, -1)
+    assert dict(_killed_survivors(n)[1].terms) == {m: c}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

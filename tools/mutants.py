@@ -42,45 +42,25 @@ MUTANTS = (
         "mu = max(weights, default=0)",
         "mu = min(weights, default=0)",
         (
-            "tests/test_fpurity.py::test_pruned_check_fpure_agrees_with_the_unweighted_check",
-            "tests/test_fpurity.py::test_weight_changes_no_verdict_on_the_killed_P",
+            "tests/test_polyring_properties.py::test_initial_form_matches_the_tuple_oracle",
+            "tests/test_fpurity.py::test_check_fpure_forms_p_minus_one_term_pairs",
         ),
     ),
     Mutant(
         "fedder-weight-without-homogeneity",
-        "src/diagvar/fpurity.py",
-        "    if t is None:\n        weight = None\n",
-        "",
+        "src/diagvar/diagvariety.py",
+        "if f.homogeneous_degree() == nvars and top.coefficient",
+        "if top.coefficient",
         ("tests/test_fpurity.py::test_weight_changes_no_verdict_or_witness_where_t_is_not_the_only_survivor",),
     ),
     Mutant(
-        "pow_capped-floor-one-mu-high",
-        "src/diagvar/polyring.py",
-        "dmax = k * mu - floor\n",
-        "dmax = (k - 1) * mu - floor\n",
+        "fedder-base-without-m-membership",
+        "src/diagvar/diagvariety.py",
+        " and top.coefficient((1,) * nvars):",
+        ":",
         (
-            "tests/test_polyring.py::test_floored_power_keeps_every_contribution",
-            "tests/test_polyring_properties.py::test_pow_capped_with_a_floor_keeps_the_power_above_it",
-        ),
-    ),
-    Mutant(
-        "pow_capped-deficit-bound-one-past",
-        "src/diagvar/polyring.py",
-        "dmax = k * mu - floor\n",
-        "dmax = k * mu - floor + 1\n",
-        (
-            "tests/test_polyring.py::test_deficit_bound_keeps_a_term_at_it_and_drops_one_past_it",
-            "tests/test_polyring_properties.py::test_pow_capped_with_a_floor_keeps_the_power_above_it",
-        ),
-    ),
-    Mutant(
-        "pow_capped-deficit-field-one-bit-narrow",
-        "src/diagvar/polyring.py",
-        "bit = 1 << dmax.bit_length()",
-        "bit = 1 << max(dmax.bit_length() - 1, 0)",
-        (
-            "tests/test_polyring.py::test_deficit_bound_keeps_a_term_at_it_and_drops_one_past_it",
-            "tests/test_polyring_properties.py::test_pow_capped_with_a_floor_keeps_the_power_above_it",
+            "tests/test_fpurity.py::test_a_weight_with_terms_above_m_falls_back_to_P",
+            "tests/test_fpurity.py::test_weight_changes_no_verdict_on_the_killed_P",
         ),
     ),
     Mutant(
