@@ -62,6 +62,12 @@ class Specialization:
         return M.map_entries(lambda f: f._substitute(reps, masks))
 
 
+def _cut(n: int, label: str) -> int:
+    """x_i_j survives the kill_s0 assignment exactly when i + j < n + 2, and
+    the kill_s and sop assignments exactly when i + j < n + 1."""
+    return n + 2 if label == "kill_s0" else n + 1
+
+
 def build_specialization(n: int, label: str, mode: str | None = None, dom: Domain = ZZ) -> Specialization:
     """The built-in assignments on the n-by-n grid.
 
@@ -73,14 +79,17 @@ def build_specialization(n: int, label: str, mode: str | None = None, dom: Domai
     ctx = VarContext.matrix(n)
     zero = MvPolynomial.zero(ctx, dom)
     asg: dict = {}
-    if label in ("kill_s", "kill_s0"):
+    if label in ("kill_s", "kill_s0", "sop"):
         if mode is not None:
             raise ValueError(f"{label} takes no mode")
-        cut = n + 1 if label == "kill_s" else n + 2
+        cut = _cut(n, label)
+        x11 = MvPolynomial.variable(ctx, dom, var(1, 1)) if label == "sop" else None
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 if i + j >= cut:
                     asg[var(i, j)] = zero
+                elif x11 is not None and (i, j) != (1, 1):
+                    asg[var(i, j)] = x11
     elif label == "tilde":
         if mode not in TILDE_MODES:
             raise ValueError(f"tilde mode must be one of {TILDE_MODES}, got {mode!r}")
@@ -90,19 +99,22 @@ def build_specialization(n: int, label: str, mode: str | None = None, dom: Domai
         if mode in ("row", "both"):
             for j in range(1, n):
                 asg[var(n, j)] = zero
-    elif label == "sop":
-        if mode is not None:
-            raise ValueError("sop takes no mode")
-        x11 = MvPolynomial.variable(ctx, dom, var(1, 1))
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i + j >= n + 1:
-                    asg[var(i, j)] = zero
-                elif (i, j) != (1, 1):
-                    asg[var(i, j)] = x11
     else:
         raise ValueError(f"unknown specialization label {label!r}")
     return Specialization(asg)
+
+
+def _killed_matrix(n: int, label: str) -> tuple:
+    """The generic n-by-n matrix under the kill_s or kill_s0 assignment
+    (see `build_specialization`), built in the ring of its survivors alone,
+    and the survivor cells (i, j) in row-major order, which is that ring's
+    variable order: x_i_j where (i, j) is a cell, zero elsewhere."""
+    cut = _cut(n, label)
+    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i + j < cut]
+    ctx = VarContext(var(i, j) for i, j in cells)
+    zero = MvPolynomial.zero(ctx, ZZ)
+    x = {c: MvPolynomial.variable(ctx, ZZ, var(*c)) for c in cells}
+    return PolyMatrix([[x.get((i, j), zero) for j in range(1, n + 1)] for i in range(1, n + 1)]), cells
 
 
 def generic_matrix(n: int) -> PolyMatrix:
@@ -267,52 +279,39 @@ def verify_peeling_identity(n: int, *, force: bool = False) -> bool:
         P(killed X) == P(block with strict sub-anti-diagonal killed)
                        * (-1)^(n(n-1)/2) * product of x_i_(n-i)
 
-    The sign exponent n(n-1)/2 is forced by independent expansion of both
-    sides; at odd n it coincides with (n-2)(n-1)/2.
+    Both sides live in the ring of the kill_s survivors (see
+    `_killed_matrix`): the block is the killed matrix's leading (n-1)
+    block, and the product runs over its cells with i + j == n.  The sign
+    exponent n(n-1)/2 is forced by independent expansion of both sides; at
+    odd n it coincides with (n-2)(n-1)/2.
     """
     guard("induction", n, force)
-    X = generic_matrix(n)
-    lhs = compute_P(build_specialization(n, "kill_s").apply_to_matrix(X), force=force)
-    ctx, dom = X.ctx, X.dom
-    zero = MvPolynomial.zero(ctx, dom)
-    block = PolyMatrix(
-        [
-            [X.rows[i][j] if (i + 1) + (j + 1) <= n else zero for j in range(n - 1)]
-            for i in range(n - 1)
-        ]
-    )
-    rhs = compute_P(block, force=force)
-    exps = [0] * len(ctx)
-    for i in range(1, n):
-        exps[ctx.index(var(i, n - i))] = 1
-    antidiag = MvPolynomial.monomial(ctx, dom, exps)
+    M, cells = _killed_matrix(n, "kill_s")
+    lhs = compute_P(M, force=force)
+    rhs = compute_P(_leading_block(M, n - 1), force=force)
+    antidiag = MvPolynomial.monomial(M.ctx, ZZ, [int(i + j == n) for i, j in cells])
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return lhs == rhs * antidiag * sign
 
 
-def _above_antidiag_exps(n: int, ctx: VarContext) -> tuple:
-    exps = [0] * len(ctx)
-    for i in range(1, n):
-        for j in range(1, n - i + 1):
-            exps[ctx.index(var(i, j))] = 1
-    return tuple(exps)
-
-
 def antidiag_unit_coeff(n: int, spec: str = "kill_s", *, force: bool = False) -> int:
     """Exact integer coefficient, in the specialized P, of the product of
-    all entries strictly above the main anti-diagonal.
+    all entries strictly above the main anti-diagonal, the cells with
+    i + j <= n.
 
-    The determinant expanded is that of C of the specialized matrix, which
-    equals P (see `_c_matrix`), computed modulo the monomial ideal of
-    non-divisors of the target (exponents only grow under multiplication, so
-    this changes no coefficient of a divisor of the target)."""
+    P is that of the killed matrix in the ring of its survivors (see
+    `_killed_matrix`): n(n-1)/2 variables under kill_s, and n(n+1)/2 under
+    kill_s0, whose anti-diagonal the target does not use.  The determinant
+    expanded is that of C of the killed matrix, which equals P (see
+    `_c_matrix`), computed modulo the monomial ideal of non-divisors of the
+    target (exponents only grow under multiplication, so this changes no
+    coefficient of a divisor of the target)."""
     guard("antidiag", n, force)
     if spec not in ("kill_s", "kill_s0"):
         raise ValueError(f"spec must be 'kill_s' or 'kill_s0', got {spec!r}")
-    X = generic_matrix(n)
-    Xs = build_specialization(n, spec).apply_to_matrix(X)
-    target = _above_antidiag_exps(n, X.ctx)
-    return _c_matrix(Xs)._det(target).coefficient(target)
+    M, cells = _killed_matrix(n, spec)
+    target = tuple(int(i + j <= n) for i, j in cells)
+    return _c_matrix(M)._det(target).coefficient(target)
 
 
 class SopNormalForm(NamedTuple):
@@ -332,7 +331,8 @@ def sop_normal_form(n: int, *, force: bool = False) -> SopNormalForm:
     sign is therefore one integer determinant and the exponent is
     n(n-1)/2."""
     guard("sop", n, force)
-    A = intlattice.IntMatrix([[int(i + j <= n) for j in range(1, n + 1)] for i in range(1, n + 1)])
+    cut = _cut(n, "sop")
+    A = intlattice.IntMatrix([[int(i + j < cut) for j in range(1, n + 1)] for i in range(1, n + 1)])
     c = intlattice.int_det(intlattice.diag_of_powers_matrix(A))
     if c not in (1, -1):
         raise NormalFormError(f"expected a unit coefficient, got {c}")
@@ -353,20 +353,11 @@ def _fedder_base(f: MvPolynomial, weight) -> MvPolynomial:
 
 @lru_cache(maxsize=None)
 def _killed_survivors(n: int) -> tuple:
-    """The killed P over Z in its survivors (i + j <= n), and its Fedder
-    base under the weight -i*j of each survivor x_i_j.  The kill_s matrix is
-    made in the survivors' context, x_i_j at i + j <= n and zero elsewhere,
-    so P needs no restriction."""
+    """The killed P over Z in the ring of the kill_s survivors (see
+    `_killed_matrix`), so P needs no restriction, and its Fedder base under
+    the weight -i*j of each survivor x_i_j."""
     # reached only through check_fpure's own guard (or an explicit force)
-    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n]
-    ctx = VarContext(var(i, j) for i, j in cells)
-    zero = MvPolynomial.zero(ctx, ZZ)
-    M = PolyMatrix(
-        [
-            [MvPolynomial.variable(ctx, ZZ, var(i, j)) if i + j <= n else zero for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
-    )
+    M, cells = _killed_matrix(n, "kill_s")
     P = compute_P(M, force=True)
     return P, _fedder_base(P, [-i * j for i, j in cells])
 

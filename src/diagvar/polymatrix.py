@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .errors import ContextError, DiagvarError, DomainError, SchemaError, SizeGuardError
 from .guards import guard
-from .polyring import ZZ, Domain, MvPolynomial, VarContext, _tokens, parse_poly
+from .polyring import ZZ, Domain, MvPolynomial, VarContext, parse_poly
 from .polyring import _bound_masks, _mul_into, _reduce_in_place, _width
 
 
@@ -209,7 +209,8 @@ class PolyMatrix:
 
 def polymatrix_from_json(obj) -> PolyMatrix:
     """Load {"n": int, "entries": [[poly-string, ...], ...]}.  The context is
-    the full n-by-n variable grid, plus t when any entry mentions it."""
+    the full n-by-n variable grid, plus t when any entry mentions it.  Every
+    error in an entry is a SchemaError naming its row and column."""
     try:
         n = obj["n"]
         entries = obj["entries"]
@@ -228,8 +229,9 @@ def polymatrix_from_json(obj) -> PolyMatrix:
         for j, s in enumerate(row):
             if not isinstance(s, str):
                 raise SchemaError(f"row {i + 1}, column {j + 1}: entry must be a string")
-            if any(tok[:2] == ("var", "t") for tok in _tokens(s)):
-                uses_t = True
+            # every t in the grammar is the variable t; errors are left to
+            # the parse below, which names the entry's cell
+            uses_t = uses_t or "t" in s
     ctx = VarContext.matrix(n, with_t=uses_t)
     rows = []
     for i, row in enumerate(entries):

@@ -53,6 +53,16 @@ def sop_by_polynomial_P(n: int) -> tuple:
     return c, m[i11]
 
 
+def _above_antidiag_exps(n: int, ctx) -> tuple:
+    """The exponent tuple in ctx of the product of the x_i_j strictly above
+    the main anti-diagonal (i + j <= n), read by name."""
+    exps = [0] * len(ctx)
+    for i in range(1, n):
+        for j in range(1, n - i + 1):
+            exps[ctx.index(f"x_{i}_{j}")] = 1
+    return tuple(exps)
+
+
 def tuple_product(f: MvPolynomial, g: MvPolynomial) -> MvPolynomial:
     """f * g computed on exponent tuples, one pair of terms at a time."""
     out = {}

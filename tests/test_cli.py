@@ -426,6 +426,14 @@ def test_load_poly_matrix_unknown_variable(tmp_path, capsys):
     assert "x_9_9" in err
 
 
+def test_load_poly_matrix_bad_character_names_its_cell(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 1, "entries": [["x_1_1 + $"]]}))
+    code, out, err = run(capsys, "pofx", "--matrix", str(path))
+    assert (code, out) == (2, "")
+    assert "row 1, column 1: unexpected character '$' (at position 8)" in err
+
+
 def test_load_poly_matrix_file(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(

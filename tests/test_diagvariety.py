@@ -8,7 +8,6 @@ import pytest
 
 from diagvar.diagvariety import (
     SopNormalForm,
-    _above_antidiag_exps,
     antidiag_unit_coeff,
     build_specialization,
     check_fpure,
@@ -25,7 +24,14 @@ from diagvar.guards import LIMITS, describe
 from diagvar.intlattice import IntMatrix, antidiagonal_ones, power_diagonal_check
 from diagvar.polymatrix import PolyMatrix, polymatrix_from_json
 from diagvar.polyring import GF, ZZ, MvPolynomial, VarContext, _width, parse_poly
-from oracles import frobenius_power_bruteforce, perm_det_poly, random_poly, sop_by_polynomial_P, tuple_with_context
+from oracles import (
+    _above_antidiag_exps,
+    frobenius_power_bruteforce,
+    perm_det_poly,
+    random_poly,
+    sop_by_polynomial_P,
+    tuple_with_context,
+)
 
 CTX3 = VarContext.matrix(3)
 
@@ -528,6 +534,35 @@ def test_block_factorization_guard():
         verify_block_factorization(6)
 
 
+# -- the killed matrix in its survivors' ring ---------------------------------
+
+
+def test_killed_matrix_cells_n3():
+    assert diagvariety._killed_matrix(3, "kill_s")[1] == [(1, 1), (1, 2), (2, 1)]
+    assert diagvariety._killed_matrix(3, "kill_s0")[1] == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
+
+
+@pytest.mark.parametrize("label", ["kill_s", "kill_s0"])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_killed_matrix_is_the_killed_generic_matrix_in_its_survivors_ring(n, label):
+    M, cells = diagvariety._killed_matrix(n, label)
+    # row 1 keeps n - 1 cells under kill_s and n under kill_s0, and each
+    # row one fewer than the row above, starting at column 1
+    top = n - 1 if label == "kill_s" else n
+    assert len(cells) == top * (top + 1) // 2
+    assert cells == [(i, j) for i in range(1, n + 1) for j in range(1, top + 2 - i)]
+    assert M.ctx.names == tuple(f"x_{i}_{j}" for i, j in cells)
+    generic = specialized(n, label)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            entry = M.rows[i - 1][j - 1]
+            if (i, j) in cells:
+                assert str(entry) == f"x_{i}_{j}"
+            else:
+                assert not entry
+            assert tuple_with_context(entry, generic.ctx) == generic.rows[i - 1][j - 1]
+
+
 # -- peeling identity ----------------------------------------------------------
 
 
@@ -546,6 +581,26 @@ def test_peeling_identity_n3_explicit():
     assert rhs0 == parse_poly("-x_1_1", CTX3, ZZ)
     anti = parse_poly("x_1_2*x_2_1", CTX3, ZZ)
     assert lhs == rhs0 * anti * -1
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_peeling_sides_match_the_generic_ring_route(monkeypatch, n):
+    sides = []
+    compute = diagvariety.compute_P
+    monkeypatch.setattr(diagvariety, "compute_P", lambda M, **kw: sides.append(compute(M, **kw)) or sides[-1])
+    assert verify_peeling_identity(n)
+    lhs, rhs = sides
+    assert len(lhs.ctx) == len(rhs.ctx) == n * (n - 1) // 2
+    # the same sides in the n^2-variable ring, from the generic matrix
+    X = specialized(n, "kill_s")
+    generic_lhs = compute_P(X)
+    generic_rhs = compute_P(PolyMatrix([row[: n - 1] for row in X.rows[: n - 1]]))
+    assert tuple_with_context(lhs, X.ctx) == generic_lhs
+    assert tuple_with_context(rhs, X.ctx) == generic_rhs
+    exps = [0] * len(X.ctx)
+    for i in range(1, n):
+        exps[X.ctx.index(f"x_{i}_{n - i}")] = 1
+    assert generic_lhs == generic_rhs * MvPolynomial.monomial(X.ctx, ZZ, exps) * (-1) ** (n * (n - 1) // 2)
 
 
 def test_peeling_identity_guard():
@@ -590,6 +645,21 @@ def test_antidiag_coeff_agrees_between_the_two_kills():
     # kill_s0 keeps the anti-diagonal itself, which the target never uses
     for n in range(2, 7):
         assert antidiag_unit_coeff(n, "kill_s") == antidiag_unit_coeff(n, "kill_s0"), n
+
+
+@pytest.mark.parametrize("label, size", [("kill_s", 0), ("kill_s0", 1)])
+def test_antidiag_coeff_expands_the_ring_of_its_kill(monkeypatch, label, size):
+    # both kills give the same coefficient at every n, so no value can tell
+    # a wrong kill_s0 cut; the ring C is built in can
+    rings = []
+    c_matrix = diagvariety._c_matrix
+    monkeypatch.setattr(diagvariety, "_c_matrix", lambda M, *a: rings.append(M.ctx) or c_matrix(M, *a))
+    for n in range(1, 7):
+        antidiag_unit_coeff(n, label, force=True)
+        names = set(rings[-1].names)
+        assert len(names) == (n - 1 + size) * (n + size) // 2, n
+        antidiagonal = {f"x_{i}_{n + 1 - i}" for i in range(1, n + 1)}
+        assert (antidiagonal <= names) if size else not (antidiagonal & names), n
 
 
 def test_antidiag_coeff_forced_n1_is_the_empty_product():

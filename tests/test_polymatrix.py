@@ -219,6 +219,18 @@ def test_matrix_json_unknown_variable_names_position():
         polymatrix_from_json({"n": 2, "entries": [["x_3_3", "0"], ["0", "0"]]})
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [("x_1_1 + $", "unexpected character '$' (at position 8)"), ("x_1_1 +", "expected a term (at position 7)")],
+    ids=["bad-character", "missing-term"],
+)
+def test_matrix_json_entry_error_names_its_cell_and_position(text, error):
+    # a bad character is reported with its cell, like every other entry error
+    with pytest.raises(SchemaError) as info:
+        polymatrix_from_json({"n": 2, "entries": [["0", text], ["0", "0"]]})
+    assert str(info.value) == f"row 1, column 2: {error}"
+
+
 def test_matrix_json_with_t():
     obj = {"n": 1, "entries": [["t + x_1_1"]]}
     M = polymatrix_from_json(obj)

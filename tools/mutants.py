@@ -213,6 +213,40 @@ MUTANTS = (
         ("tests/test_diagvariety.py::test_block_factorization_expands_its_own_determinant_when_c_differs",),
     ),
     Mutant(
+        "killed-cut-off-by-one",
+        "src/diagvar/diagvariety.py",
+        "for j in range(1, n + 1) if i + j < cut]",
+        "for j in range(1, n + 1) if i + j <= cut]",
+        (
+            "tests/test_diagvariety.py::test_killed_matrix_cells_n3",
+            "tests/test_diagvariety.py::test_killed_matrix_is_the_killed_generic_matrix_in_its_survivors_ring",
+        ),
+    ),
+    Mutant(
+        "kill_s0-given-the-kill_s-cut",
+        "src/diagvar/diagvariety.py",
+        'return n + 2 if label == "kill_s0" else n + 1',
+        "return n + 1",
+        ("tests/test_diagvariety.py::test_antidiag_coeff_expands_the_ring_of_its_kill",),
+    ),
+    Mutant(
+        "peeling-monomial-off-the-antidiagonal",
+        "src/diagvar/diagvariety.py",
+        "[int(i + j == n) for i, j in cells]",
+        "[int(i + j == n - 1) for i, j in cells]",
+        ("tests/test_diagvariety.py::test_peeling_identity_small",),
+    ),
+    Mutant(
+        "matrix-json-t-only-as-a-whole-entry",
+        "src/diagvar/polymatrix.py",
+        'uses_t = uses_t or "t" in s',
+        'uses_t = uses_t or s == "t"',
+        (
+            "tests/test_polymatrix.py::test_matrix_json_with_t",
+            "tests/test_cli.py::test_pofx_matrix_whose_entries_use_t",
+        ),
+    ),
+    Mutant(
         "cell-pofx-window-guard-dropped",
         "src/diagvar/cli.py",
         '    guard("pofx", n, force)\n',
