@@ -379,6 +379,14 @@ def _render_json(records) -> str:
 # -- argument parsing ----------------------------------------------------------
 
 
+def positive_int(text: str) -> int:
+    """The --n argument: argparse exits 2 on a size below 1, forced or not."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"matrix size must be at least 1, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diagvar",
@@ -396,10 +404,10 @@ def _build_parser() -> argparse.ArgumentParser:
             n_help = n_help or f"matrix size; runs unforced at {describe(name)}"
             if matrix_help:
                 size = p.add_mutually_exclusive_group(required=True)
-                size.add_argument("--n", type=int, help=n_help)
+                size.add_argument("--n", type=positive_int, help=n_help)
                 size.add_argument("--matrix", help=matrix_help)
             else:
-                p.add_argument("--n", type=int, required=True, help=n_help)
+                p.add_argument("--n", type=positive_int, required=True, help=n_help)
             p.add_argument("--force", action="store_true", help="override size guards (marked in the report)")
         p.set_defaults(handler=_handle_check)
         return p

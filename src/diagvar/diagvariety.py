@@ -283,12 +283,13 @@ def verify_peeling_identity(n: int, *, force: bool = False) -> bool:
     `_killed_matrix`): the block is the killed matrix's leading (n-1)
     block, and the product runs over its cells with i + j == n.  The sign
     exponent n(n-1)/2 is forced by independent expansion of both sides; at
-    odd n it coincides with (n-2)(n-1)/2.
+    odd n it coincides with (n-2)(n-1)/2.  At n = 1 the block is empty and
+    its P is 1.
     """
     guard("induction", n, force)
     M, cells = _killed_matrix(n, "kill_s")
     lhs = compute_P(M, force=force)
-    rhs = compute_P(_leading_block(M, n - 1), force=force)
+    rhs = compute_P(_leading_block(M, n - 1), force=force) if n > 1 else MvPolynomial.one(M.ctx, ZZ)
     antidiag = MvPolynomial.monomial(M.ctx, ZZ, [int(i + j == n) for i, j in cells])
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return lhs == rhs * antidiag * sign

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the matrix-file schema
+that both matrix loaders read through."""
 
 
 class DiagvarError(Exception):
@@ -37,3 +38,32 @@ class NotUnimodularError(DiagvarError):
 
 class NormalFormError(DiagvarError):
     """A computed value is not of the expected normal form."""
+
+
+def read_matrix_json(obj, entry) -> list:
+    """Read a matrix file, {"n": int, "entries": [[value, ...], ...]} with n
+    rows of n values each, into rows of entry(value).  Every error is a
+    SchemaError; one that entry raises names its row and column."""
+    try:
+        n = obj["n"]
+        entries = obj["entries"]
+    except (KeyError, TypeError) as e:
+        raise SchemaError(f"malformed matrix JSON: {e}") from e
+    if type(n) is not int:
+        raise SchemaError(f"matrix size must be an integer, got {n!r}")
+    if n < 1:
+        raise SchemaError(f"matrix size must be positive, got {n}")
+    if not isinstance(entries, list) or len(entries) != n:
+        raise SchemaError(f"expected {n} rows, got {len(entries) if isinstance(entries, list) else type(entries).__name__}")
+    rows = []
+    for i, row in enumerate(entries, 1):
+        if not isinstance(row, list) or len(row) != n:
+            raise SchemaError(f"row {i}: expected {n} entries")
+        out = []
+        for j, value in enumerate(row, 1):
+            try:
+                out.append(entry(value))
+            except DiagvarError as e:
+                raise SchemaError(f"row {i}, column {j}: {e}") from e
+        rows.append(out)
+    return rows

@@ -8,7 +8,7 @@ import operator
 from bisect import bisect_left, insort
 from typing import NamedTuple
 
-from .errors import NotUnimodularError, SchemaError
+from .errors import NotUnimodularError, SchemaError, read_matrix_json
 from .guards import guard
 
 __all__ = [
@@ -339,34 +339,17 @@ def verify_inverse_bands(n: int, *, force: bool = False) -> BandReport:
 
 def intmatrix_from_json(obj) -> IntMatrix:
     """Load {"n": int, "entries": [[int-or-decimal-string, ...], ...]}."""
-    try:
-        n = obj["n"]
-        entries = obj["entries"]
-    except (KeyError, TypeError) as e:
-        raise SchemaError(f"malformed matrix JSON: {e}") from e
-    if type(n) is not int:
-        raise SchemaError(f"matrix size must be an integer, got {n!r}")
-    if n < 1:
-        raise SchemaError(f"matrix size must be positive, got {n}")
-    if not isinstance(entries, list) or len(entries) != n:
-        raise SchemaError(f"expected {n} rows")
-    rows = []
-    for i, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != n:
-            raise SchemaError(f"row {i + 1}: expected {n} entries")
-        out = []
-        for j, e in enumerate(row):
-            if isinstance(e, bool) or isinstance(e, float):
-                raise SchemaError(f"row {i + 1}, column {j + 1}: entries must be integers")
-            if isinstance(e, str):
-                try:
-                    e = int(e, 10)
-                except ValueError:
-                    raise SchemaError(
-                        f"row {i + 1}, column {j + 1}: {e!r} is not a decimal integer"
-                    ) from None
-            if not isinstance(e, int):
-                raise SchemaError(f"row {i + 1}, column {j + 1}: entries must be integers")
-            out.append(e)
-        rows.append(out)
-    return IntMatrix(rows)
+    return IntMatrix(read_matrix_json(obj, _integer))
+
+
+def _integer(value) -> int:
+    # JSON's true and 1.0 are not integers here; decimal strings carry
+    # entries past 2^53
+    if isinstance(value, str):
+        try:
+            return int(value, 10)
+        except ValueError:
+            raise SchemaError(f"{value!r} is not a decimal integer") from None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError("entries must be integers")
+    return value

@@ -22,7 +22,7 @@ per row it is the one determinant that C(M) is read off (see
 
 from __future__ import annotations
 
-from .errors import ContextError, DiagvarError, DomainError, SchemaError, SizeGuardError
+from .errors import ContextError, DomainError, SchemaError, SizeGuardError, read_matrix_json
 from .guards import guard
 from .polyring import ZZ, Domain, MvPolynomial, VarContext, parse_poly
 from .polyring import _bound_masks, _mul_into, _reduce_in_place, _width
@@ -211,35 +211,16 @@ def polymatrix_from_json(obj) -> PolyMatrix:
     """Load {"n": int, "entries": [[poly-string, ...], ...]}.  The context is
     the full n-by-n variable grid, plus t when any entry mentions it.  Every
     error in an entry is a SchemaError naming its row and column."""
-    try:
-        n = obj["n"]
-        entries = obj["entries"]
-    except (KeyError, TypeError) as e:
-        raise SchemaError(f"malformed matrix JSON: {e}") from e
-    if type(n) is not int:
-        raise SchemaError(f"matrix size must be an integer, got {n!r}")
-    if n < 1:
-        raise SchemaError(f"matrix size must be positive, got {n}")
-    if not isinstance(entries, list) or len(entries) != n:
-        raise SchemaError(f"expected {n} rows, got {len(entries) if isinstance(entries, list) else type(entries).__name__}")
-    uses_t = False
-    for i, row in enumerate(entries):
-        if not isinstance(row, list) or len(row) != n:
-            raise SchemaError(f"row {i + 1}: expected {n} entries")
-        for j, s in enumerate(row):
-            if not isinstance(s, str):
-                raise SchemaError(f"row {i + 1}, column {j + 1}: entry must be a string")
-            # every t in the grammar is the variable t; errors are left to
-            # the parse below, which names the entry's cell
-            uses_t = uses_t or "t" in s
-    ctx = VarContext.matrix(n, with_t=uses_t)
-    rows = []
-    for i, row in enumerate(entries):
-        prow = []
-        for j, s in enumerate(row):
-            try:
-                prow.append(parse_poly(s, ctx, ZZ))
-            except DiagvarError as e:
-                raise SchemaError(f"row {i + 1}, column {j + 1}: {e}") from e
-        rows.append(prow)
-    return PolyMatrix(rows)
+    texts = read_matrix_json(obj, _entry_text)
+    ctx = VarContext.matrix(len(texts))
+    # every t in the grammar is the variable t; errors are left to the
+    # parse below
+    if any("t" in s for row in texts for s in row):
+        ctx = ctx.with_var("t")
+    return PolyMatrix(read_matrix_json(obj, lambda s: parse_poly(s, ctx, ZZ)))
+
+
+def _entry_text(value) -> str:
+    if not isinstance(value, str):
+        raise SchemaError("entry must be a string")
+    return value

@@ -95,12 +95,9 @@ class VarContext:
         self._index = {nm: i for i, nm in enumerate(names)}
 
     @classmethod
-    def matrix(cls, n: int, with_t: bool = False) -> "VarContext":
+    def matrix(cls, n: int) -> "VarContext":
         """Row-major x_i_j context (1-based) for an n-by-n generic matrix."""
-        names = [f"x_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)]
-        if with_t:
-            names.append("t")
-        return cls(names)
+        return cls([f"x_{i}_{j}" for i in range(1, n + 1) for j in range(1, n + 1)])
 
     def index(self, name: str) -> int:
         try:
@@ -594,12 +591,10 @@ def format_poly(f: MvPolynomial) -> str:
     the variables' power tables by its nonzero exponents."""
     if not f._t:
         return "0"
-    step = f._w // 8
-    size = step * len(f.ctx)
-    exps = map(int.to_bytes, f._t, repeat(size), repeat("little"))
-    if step > 1:
-        fields = [slice(i, i + step) for i in range(0, size, step)]
-        exps = (tuple(map(int.from_bytes, map(b.__getitem__, fields), repeat("little"))) for b in exps)
+    if f._w == 8:
+        exps = map(int.to_bytes, f._t, repeat(len(f.ctx)), repeat("little"))
+    else:
+        exps = map(_unpack, f._t, repeat(f._w), repeat(len(f.ctx)))
     tables = list(map(_Powers, f.ctx.names))
     bits = []
     for _, m, c in sorted(zip(f._degrees(), exps, f._t.values()), reverse=True):

@@ -4,6 +4,7 @@ matrix loading diagnostics."""
 import json
 import os
 import select
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +74,32 @@ def test_lemma2_forced_at_n1_passes_every_mode(capsys):
     records = json.loads(out)
     assert [r["detail"]["mode"] for r in records] == ["row", "column", "both"]
     assert all(r["pass"] for r in records)
+
+
+# the arguments each check needs besides --n
+EXTRA = {"fedder": ("--p", "2")}
+
+
+@pytest.mark.parametrize("check", list(WINDOWS))
+def test_every_check_passes_at_n_1(capsys, check):
+    # lemma4 runs unforced there; at n = 1 every identity's sides are 1,
+    # and pofx prints P = 1
+    force = () if check == "lemma4" else ("--force",)
+    code, out, err = run(capsys, check, "--n", "1", *force, *EXTRA.get(check, ()))
+    assert (code, err) == (0, "")
+    assert out == "1\n" if check == "pofx" else "[PASS]" in out
+
+
+@pytest.mark.parametrize("force", [(), ("--force",)], ids=["unforced", "forced"])
+@pytest.mark.parametrize("n", ["0", "-3"])
+@pytest.mark.parametrize("check", list(WINDOWS))
+def test_a_size_below_1_is_a_usage_error(capsys, check, n, force):
+    with pytest.raises(SystemExit) as e:
+        cli.main([check, "--n", n, *force, *EXTRA.get(check, ())])
+    assert e.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"error: argument --n: matrix size must be at least 1, got {n}\n")
 
 
 @pytest.mark.parametrize(
@@ -287,6 +314,7 @@ def test_negative_threads_env_exits_2(capsys, monkeypatch):
 # -- the forked suite -----------------------------------------------------------
 
 SUITE_12 = ("suite", "--max-n", "12", "--primes", "2,3,5,7")
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def assert_no_child_left():
@@ -304,7 +332,10 @@ def test_suite_parallel_matches_serial(capsys, monkeypatch):
         assert_no_child_left()
     monkeypatch.delenv("DIAGVAR_THREADS")
     serial = [run(capsys, *SUITE_12, "--format", fmt) for fmt in ("json", "text")]
-    assert serial[0][0] == 0
+    # the pinned reports; a change to the suite's cells or rendering
+    # regenerates them
+    golden = [(0, (GOLDEN / f"suite_12.{fmt}").read_text(), "") for fmt in ("json", "text")]
+    assert serial == golden
     assert forked == {"2": serial, "0": serial}
 
 

@@ -279,10 +279,3 @@ def test_intmatrix_json_errors():
         intmatrix_from_json({"n": 0, "entries": []})
     with pytest.raises(SchemaError, match="row 1, column 1"):
         intmatrix_from_json({"n": 1, "entries": [[1.5]]})
-
-
-@pytest.mark.parametrize("n", [2.7, 2.0, True, "2"], ids=["float", "integral-float", "bool", "string"])
-def test_intmatrix_json_rejects_a_non_integer_size(n):
-    # int() would read 2.7 as 2, true as 1 and "2" as 2
-    with pytest.raises(SchemaError, match="must be an integer"):
-        intmatrix_from_json({"n": n, "entries": [[1, 1], [1, 0]]})

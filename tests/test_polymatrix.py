@@ -7,7 +7,7 @@ import random
 import pytest
 
 from diagvar.errors import ContextError, SchemaError, SizeGuardError
-from diagvar.intlattice import IntMatrix, int_pow
+from diagvar.intlattice import IntMatrix, int_pow, intmatrix_from_json
 from diagvar.polymatrix import PolyMatrix, polymatrix_from_json
 from diagvar.polyring import GF, ZZ, MvPolynomial, VarContext, parse_poly
 from oracles import perm_det_poly, random_poly, tuple_with_context
@@ -146,7 +146,7 @@ def test_char_poly_corner_substitution_recovers_difference():
 
 
 def test_char_poly_rejects_entries_using_t():
-    ctx_t = VarContext.matrix(1, with_t=True)
+    ctx_t = VarContext.matrix(1).with_var("t")
     A = PolyMatrix([[MvPolynomial.variable(ctx_t, ZZ, "t")]])
     with pytest.raises(ContextError):
         A.char_poly()
@@ -155,7 +155,7 @@ def test_char_poly_rejects_entries_using_t():
 def test_t_and_used_variables_are_read_off_whole_fields_at_width_16():
     # exponent 256 has a zero low byte, so a read of one byte per field
     # would miss it; t is the last variable of ctx_t, and g uses it
-    ctx_t = VarContext.matrix(2, with_t=True)
+    ctx_t = VarContext.matrix(2).with_var("t")
     f = MvPolynomial(ctx_t, ZZ, {(256, 0, 0, 0, 0): 1, (0, 0, 200, 0, 0): 3})
     g = MvPolynomial(ctx_t, ZZ, {(0, 0, 0, 300, 256): 1})
     assert f._w == g._w == 16
@@ -207,11 +207,41 @@ def test_matrix_json_ragged_row_names_row():
         polymatrix_from_json({"n": 2, "entries": [["0", "0"], ["0"]]})
 
 
-@pytest.mark.parametrize("n", [2.7, 2.0, True, "2"], ids=["float", "integral-float", "bool", "string"])
-def test_matrix_json_rejects_a_non_integer_size(n):
+SIZES = {"float": 2.7, "integral-float": 2.0, "bool": True, "string": "2"}
+# each loader with a 2-by-2 matrix it reads
+LOADERS = {
+    "": (polymatrix_from_json, [["x_1_1", "0"], ["0", "x_2_2"]]),
+    "int-": (intmatrix_from_json, [[1, 1], [1, 0]]),
+}
+
+
+@pytest.mark.parametrize(
+    "load, entries, n",
+    [pytest.param(load, entries, n, id=kind + name) for kind, (load, entries) in LOADERS.items() for name, n in SIZES.items()],
+)
+def test_matrix_json_rejects_a_non_integer_size(load, entries, n):
     # int() would read 2.7 as 2, true as 1 and "2" as 2
     with pytest.raises(SchemaError, match="must be an integer"):
-        polymatrix_from_json({"n": n, "entries": [["x_1_1", "0"], ["0", "x_2_2"]]})
+        load({"n": n, "entries": entries})
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        pytest.param([], "malformed matrix JSON: ", id="not-a-mapping"),
+        pytest.param({"n": 2}, "malformed matrix JSON: 'entries'", id="no-entries"),
+        pytest.param({"n": 0, "entries": []}, "matrix size must be positive, got 0", id="size-0"),
+        pytest.param({"n": 2, "entries": [[]]}, "expected 2 rows, got 1", id="one-row-of-two"),
+        pytest.param({"n": 2, "entries": "ab"}, "expected 2 rows, got str", id="rows-not-a-list"),
+        pytest.param({"n": 2, "entries": [[], []]}, "row 1: expected 2 entries", id="short-row"),
+        pytest.param({"n": 1, "entries": [None]}, "row 1: expected 1 entries", id="row-not-a-list"),
+    ],
+)
+def test_both_loaders_refuse_a_malformed_file_with_one_message(obj, message):
+    for load in (polymatrix_from_json, intmatrix_from_json):
+        with pytest.raises(SchemaError) as info:
+            load(obj)
+        assert str(info.value).startswith(message)
 
 
 def test_matrix_json_unknown_variable_names_position():
@@ -229,6 +259,12 @@ def test_matrix_json_entry_error_names_its_cell_and_position(text, error):
     with pytest.raises(SchemaError) as info:
         polymatrix_from_json({"n": 2, "entries": [["0", text], ["0", "0"]]})
     assert str(info.value) == f"row 1, column 2: {error}"
+
+
+def test_matrix_json_context_is_the_grid_then_t():
+    # t inside a product, not a whole entry, still adds t, after the grid
+    M = polymatrix_from_json({"n": 2, "entries": [["0", "x_1_1*t^2 - 1"], ["x_2_2", "0"]]})
+    assert M.ctx.names == VarContext.matrix(2).names + ("t",)
 
 
 def test_matrix_json_with_t():

@@ -64,7 +64,6 @@ def test_domain_equality():
 
 def test_matrix_context_order():
     assert CTX2.names == ("x_1_1", "x_1_2", "x_2_1", "x_2_2")
-    assert VarContext.matrix(2, with_t=True).names[-1] == "t"
 
 
 def test_context_rejects_duplicates():

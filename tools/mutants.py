@@ -239,11 +239,31 @@ MUTANTS = (
     Mutant(
         "matrix-json-t-only-as-a-whole-entry",
         "src/diagvar/polymatrix.py",
-        'uses_t = uses_t or "t" in s',
-        'uses_t = uses_t or s == "t"',
+        'if any("t" in s for row in texts for s in row):',
+        'if any(s == "t" for row in texts for s in row):',
         (
-            "tests/test_polymatrix.py::test_matrix_json_with_t",
+            "tests/test_polymatrix.py::test_matrix_json_context_is_the_grid_then_t",
             "tests/test_cli.py::test_pofx_matrix_whose_entries_use_t",
+        ),
+    ),
+    Mutant(
+        "matrix-json-entry-error-loses-its-cell",
+        "src/diagvar/errors.py",
+        'raise SchemaError(f"row {i}, column {j}: {e}") from e',
+        "raise SchemaError(str(e)) from e",
+        (
+            "tests/test_polymatrix.py::test_matrix_json_unknown_variable_names_position",
+            "tests/test_intlattice.py::test_intmatrix_json_errors",
+        ),
+    ),
+    Mutant(
+        "matrix-json-size-an-isinstance-check",
+        "src/diagvar/errors.py",
+        "if type(n) is not int:",
+        "if not isinstance(n, int):",
+        (
+            "tests/test_polymatrix.py::test_matrix_json_rejects_a_non_integer_size",
+            "tests/test_cli.py::test_load_int_matrix_rejects_a_non_integer_size",
         ),
     ),
     Mutant(
