@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import diagvariety, intlattice
-from .errors import DiagvarError, NormalFormError
+from .errors import DiagvarError
 from .guards import LIMITS, PAIR_BUDGET, WINDOWS, describe, guard
 from .polymatrix import polymatrix_from_json
 from .polyring import GF, format_poly
@@ -85,11 +85,9 @@ def cell_antidiag(n: int, spec: str, force: bool = False) -> dict:
 
 
 def cell_sop(n: int, force: bool = False) -> dict:
-    try:
-        nf = diagvariety.sop_normal_form(n, force=force)
-    except NormalFormError as e:
-        return _record("sop", n=n, passed=False, detail={"error": str(e)}, force=force)
-    return _record("sop", n=n, detail={"sign": nf.sign, "exponent": nf.exponent}, force=force)
+    nf = diagvariety.sop_normal_form(n, force=force)
+    detail = {"sign": nf.sign, "exponent": nf.exponent}
+    return _record("sop", n=n, passed=abs(nf.sign) == 1, detail=detail, force=force)
 
 
 def cell_fedder(n: int, p: int, force: bool = False) -> dict:

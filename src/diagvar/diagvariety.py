@@ -16,7 +16,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import intlattice
-from .errors import NormalFormError
 from .fpurity import FedderVerdict, fedder_check
 from .guards import PAIR_BUDGET, guard
 from .polymatrix import PolyMatrix, _shifted_det
@@ -104,12 +103,10 @@ def build_specialization(n: int, label: str, mode: str | None = None, dom: Domai
     return Specialization(asg)
 
 
-def _killed_matrix(n: int, label: str) -> tuple:
-    """The generic n-by-n matrix under the kill_s or kill_s0 assignment
-    (see `build_specialization`), built in the ring of its survivors alone,
-    and the survivor cells (i, j) in row-major order, which is that ring's
-    variable order: x_i_j where (i, j) is a cell, zero elsewhere."""
-    cut = _cut(n, label)
+def _grid_matrix(n: int, cut: int) -> tuple:
+    """The n-by-n matrix with x_i_j at each cell (i, j) with i + j < cut and
+    zero elsewhere, built in the ring of those cells alone, and the cells in
+    row-major order, which is that ring's variable order."""
     cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i + j < cut]
     ctx = VarContext(var(i, j) for i, j in cells)
     zero = MvPolynomial.zero(ctx, ZZ)
@@ -117,17 +114,18 @@ def _killed_matrix(n: int, label: str) -> tuple:
     return PolyMatrix([[x.get((i, j), zero) for j in range(1, n + 1)] for i in range(1, n + 1)]), cells
 
 
+def _killed_matrix(n: int, label: str) -> tuple:
+    """The generic n-by-n matrix under the kill_s or kill_s0 assignment
+    (see `build_specialization`) in the ring of its survivors, and the
+    survivor cells (see `_grid_matrix`)."""
+    return _grid_matrix(n, _cut(n, label))
+
+
 def generic_matrix(n: int) -> PolyMatrix:
     """The n-by-n matrix whose (i, j) entry is the variable x_i_j."""
     if n < 1:
         raise ValueError("matrix size must be positive")
-    ctx = VarContext.matrix(n)
-    return PolyMatrix(
-        [
-            [MvPolynomial.variable(ctx, ZZ, var(i, j)) for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
-    )
+    return _grid_matrix(n, 2 * n + 1)[0]  # every cell has i + j <= 2n
 
 
 def diag_matrix(M: PolyMatrix, *, force: bool = False) -> PolyMatrix:
@@ -322,8 +320,9 @@ class SopNormalForm(NamedTuple):
 
 def sop_normal_form(n: int, *, force: bool = False) -> SopNormalForm:
     """Under the system-of-parameters specialization, P collapses to
-    sign * x_1_1^(n(n-1)/2); returns the sign and exponent, and raises
-    NormalFormError unless the sign is a unit (a defect signal).
+    sign * x_1_1^(n(n-1)/2); returns the sign and exponent.  The sign is
+    whatever integer the determinant gives; a sign other than +-1 is a
+    defect, which the caller judges.
 
     The specialized matrix is x_1_1 * A, where A is the 0/1 matrix with ones
     at i + j <= n.  Column j (0-based) of D(x_1_1 * A) is
@@ -335,8 +334,6 @@ def sop_normal_form(n: int, *, force: bool = False) -> SopNormalForm:
     cut = _cut(n, "sop")
     A = intlattice.IntMatrix([[int(i + j < cut) for j in range(1, n + 1)] for i in range(1, n + 1)])
     c = intlattice.int_det(intlattice.diag_of_powers_matrix(A))
-    if c not in (1, -1):
-        raise NormalFormError(f"expected a unit coefficient, got {c}")
     return SopNormalForm(sign=c, exponent=n * (n - 1) // 2)
 
 

@@ -1,6 +1,16 @@
 """Exception types shared across the package, and the matrix-file schema
 that both matrix loaders read through."""
 
+__all__ = [
+    "DiagvarError",
+    "DomainError",
+    "ContextError",
+    "PolyParseError",
+    "SchemaError",
+    "SizeGuardError",
+    "NotUnimodularError",
+]
+
 
 class DiagvarError(Exception):
     """Base class for all package errors."""
@@ -34,10 +44,6 @@ class SizeGuardError(DiagvarError):
 
 class NotUnimodularError(DiagvarError):
     """Operation requires an integer matrix with determinant +1 or -1."""
-
-
-class NormalFormError(DiagvarError):
-    """A computed value is not of the expected normal form."""
 
 
 def read_matrix_json(obj, entry) -> list:

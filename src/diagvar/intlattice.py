@@ -5,6 +5,7 @@ closed-form checks for the anti-triangular ones matrix and its inverse."""
 from __future__ import annotations
 
 import operator
+import re
 from bisect import bisect_left, insort
 from typing import NamedTuple
 
@@ -24,7 +25,6 @@ __all__ = [
     "power_diagonal_check",
     "BandReport",
     "verify_inverse_bands",
-    "intmatrix_from_json",
 ]
 
 
@@ -344,12 +344,15 @@ def intmatrix_from_json(obj) -> IntMatrix:
 
 def _integer(value) -> int:
     # JSON's true and 1.0 are not integers here; decimal strings carry
-    # entries past 2^53
+    # entries past 2^53, as ASCII digits after an optional sign and nothing
+    # else (int() alone also takes spaces, underscores and non-ASCII digits)
     if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            raise SchemaError(f"{value!r} is not a decimal integer") from None
+        if re.fullmatch(r"[+-]?[0-9]+", value):
+            try:
+                return int(value)
+            except ValueError:  # past the interpreter's digit limit
+                pass
+        raise SchemaError(f"{value!r} is not a decimal integer")
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError("entries must be integers")
     return value

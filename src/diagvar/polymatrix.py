@@ -27,6 +27,8 @@ from .guards import guard
 from .polyring import ZZ, Domain, MvPolynomial, VarContext, parse_poly
 from .polyring import _bound_masks, _mul_into, _reduce_in_place, _width
 
+__all__ = ["PolyMatrix"]
+
 
 def _packed_rows(rows, e: int):
     """One field width w that holds every entry and exponent bound e, and

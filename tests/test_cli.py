@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from diagvar import cli
-from diagvar.errors import DiagvarError, NormalFormError
+from diagvar.diagvariety import SopNormalForm
+from diagvar.errors import DiagvarError
 from diagvar.guards import WINDOWS
 
 
@@ -393,15 +394,12 @@ def test_the_largest_suites_indices_fit_one_atomic_pipe_write():
 
 
 def test_failing_check_exits_1(capsys, monkeypatch):
-    def broken(n, force=False):
-        raise NormalFormError("synthetic defect")
-
-    monkeypatch.setattr(cli.diagvariety, "sop_normal_form", broken)
+    monkeypatch.setattr(cli.diagvariety, "sop_normal_form", lambda n, force=False: SopNormalForm(2, 3))
     code, out, _ = run(capsys, "sop", "--n", "3", "--format", "json")
     assert code == 1
     (record,) = json.loads(out)
     assert record["pass"] is False
-    assert "synthetic defect" in record["detail"]["error"]
+    assert record["detail"] == {"sign": 2, "exponent": 3}
 
 
 def test_sop_with_a_non_unit_determinant_exits_1(capsys, monkeypatch):
@@ -410,7 +408,18 @@ def test_sop_with_a_non_unit_determinant_exits_1(capsys, monkeypatch):
     assert code == 1
     (record,) = json.loads(out)
     assert record["pass"] is False
-    assert "got 2" in record["detail"]["error"]
+    assert record["detail"]["sign"] == 2
+
+
+def test_suite_with_a_non_unit_sop_sign_fails_its_cells(capsys, monkeypatch):
+    monkeypatch.setattr(cli.diagvariety.intlattice, "int_det", lambda A: 2)
+    code, out, err = run(capsys, "suite", "--max-n", "3", "--checks", "sop")
+    assert (code, err) == (1, "")
+    assert out == (
+        "[FAIL] sop n=2 sign=2 exponent=1\n"
+        "[FAIL] sop n=3 sign=2 exponent=3\n"
+        "0/2 checks passed\n"
+    )
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -438,6 +447,28 @@ def test_load_matrix_ragged_names_row(tmp_path, capsys):
     code, _, err = run(capsys, "lemma4", "--matrix", str(path))
     assert code == 2
     assert "row 2" in err
+
+
+def test_load_int_matrix_takes_signed_decimal_strings(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "entries": [["+7", "-3"], ["-2", "1"]]}))
+    code, out, _ = run(capsys, "lemma4", "--matrix", str(path), "--format", "json")
+    assert code == 0
+    (record,) = json.loads(out)
+    assert record["n"] == 2
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [" 1_000 ", "1_000", "\u0661\u0662", "\uff10", "7 ", "", "+", "0x10", "+-1"],
+    ids=["padded-underscore", "underscore", "arabic-indic", "fullwidth", "trailing-space", "empty", "sign-only", "hex", "two-signs"],
+)
+def test_load_int_matrix_rejects_a_non_decimal_string(tmp_path, capsys, entry):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 1, "entries": [[entry]]}))
+    code, out, err = run(capsys, "lemma4", "--matrix", str(path))
+    assert (code, out) == (2, "")
+    assert f"row 1, column 1: {entry!r} is not a decimal integer" in err
 
 
 @pytest.mark.parametrize("n", [2.7, True, "2"], ids=["float", "bool", "string"])

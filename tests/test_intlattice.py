@@ -3,6 +3,7 @@ tests, and the anti-triangular ones family."""
 
 import json
 import random
+import re
 
 import pytest
 
@@ -265,9 +266,20 @@ def test_band_report_guard():
 
 
 def test_intmatrix_json_loads_decimal_string_entries():
-    # entries past 2^53 arrive as decimal strings
-    obj = json.loads('{"n": 2, "entries": [[1, -2], ["100000000000000000000", 0]]}')
-    assert intmatrix_from_json(obj) == IntMatrix([[1, -2], [10**20, 0]])
+    # entries past 2^53 arrive as decimal strings, with an optional sign
+    obj = json.loads('{"n": 2, "entries": [[1, "-3"], ["100000000000000000000", "+7"]]}')
+    assert intmatrix_from_json(obj) == IntMatrix([[1, -3], [10**20, 7]])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [" 1_000 ", "1_000", "\u0661\u0662", "\uff10", "7 ", "", "+", "0x10", "+-1"],
+    ids=["padded-underscore", "underscore", "arabic-indic", "fullwidth", "trailing-space", "empty", "sign-only", "hex", "two-signs"],
+)
+def test_intmatrix_json_rejects_a_non_decimal_string(entry):
+    # int() alone takes the first five
+    with pytest.raises(SchemaError, match=f"row 1, column 1: {re.escape(repr(entry))} is not a decimal integer"):
+        intmatrix_from_json({"n": 1, "entries": [[entry]]})
 
 
 def test_intmatrix_json_errors():

@@ -223,6 +223,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "generic-grid-cut-one-short",
+        "src/diagvar/diagvariety.py",
+        "_grid_matrix(n, 2 * n + 1)",
+        "_grid_matrix(n, 2 * n)",
+        (
+            "tests/test_diagvariety.py::test_generic_matrix_small",
+            "tests/test_diagvariety.py::test_generic_matrix_keeps_every_cell_in_the_matrix_context",
+        ),
+    ),
+    Mutant(
         "kill_s0-given-the-kill_s-cut",
         "src/diagvar/diagvariety.py",
         'return n + 2 if label == "kill_s0" else n + 1',
@@ -267,6 +277,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "integer-entry-without-full-match",
+        "src/diagvar/intlattice.py",
+        "if re.fullmatch(",
+        "if re.match(",
+        (
+            "tests/test_intlattice.py::test_intmatrix_json_rejects_a_non_decimal_string",
+            "tests/test_cli.py::test_load_int_matrix_rejects_a_non_decimal_string",
+        ),
+    ),
+    Mutant(
         "cell-pofx-window-guard-dropped",
         "src/diagvar/cli.py",
         '    guard("pofx", n, force)\n',
@@ -294,6 +314,16 @@ MUTANTS = (
         (
             "tests/test_diagvariety.py::test_sop_normal_form_displayed_values",
             "tests/test_diagvariety.py::test_sop_normal_form_larger_sizes_match_permutation_expansion",
+        ),
+    ),
+    Mutant(
+        "sop-cell-passes-every-sign",
+        "src/diagvar/cli.py",
+        "passed=abs(nf.sign) == 1",
+        "passed=True",
+        (
+            "tests/test_cli.py::test_failing_check_exits_1",
+            "tests/test_cli.py::test_suite_with_a_non_unit_sop_sign_fails_its_cells",
         ),
     ),
     Mutant(
@@ -458,6 +488,13 @@ MUTANTS = (
             "tests/test_intlattice.py::test_diag_of_powers_matrix_columns",
             "tests/test_diagvariety.py::test_sop_normal_form_displayed_values",
         ),
+    ),
+    Mutant(
+        "export-dropped-from-a-module-all",
+        "src/diagvar/diagvariety.py",
+        '    "sop_normal_form",\n',
+        "",
+        ("tests/test_public_api.py::test_the_public_names_are_listed_once_and_resolve",),
     ),
 )
 
