@@ -56,12 +56,19 @@ def _record(check: str, n=None, p=None, passed=True, detail=None, force=False) -
 
 def cell_pofx(n: int, force: bool = False) -> dict:
     guard("pofx", n, force)
-    P = diagvariety.compute_P(diagvariety.generic_matrix(n), force=force)
+    # P is read one part at a time, the terms that share their exponents of
+    # the first row's variables, so its terms are never held all at once
+    terms, degrees, kept = 0, set(), []
+    for part in diagvariety._P_parts(diagvariety.generic_matrix(n), n, force=force):
+        terms += len(part.terms)
+        degrees.update(part._degrees())
+        if terms <= 64:
+            kept.append(part)
     expected = n * (n - 1) // 2
-    degree = P.homogeneous_degree()
+    degree = degrees.pop() if len(degrees) == 1 else None
     detail = {
-        "poly": format_poly(P) if len(P.terms) <= 64 else None,
-        "terms": len(P.terms),
+        "poly": format_poly(sum(kept[1:], kept[0])) if terms <= 64 else None,
+        "terms": terms,
         "degree": degree,
         "expected_degree": expected,
     }

@@ -208,9 +208,24 @@ def compute_P(M: PolyMatrix, *, force: bool = False) -> MvPolynomial:
     Unless forced, n lies in the polymatrix row of LIMITS, as for
     diag_matrix, and each determinant expanded forms at most PAIR_BUDGET
     term pairs."""
+    C, budget = _guarded_c(M, force)
+    return C._det(None, budget)
+
+
+def _P_parts(M: PolyMatrix, fields: int, *, force: bool = False):
+    """The terms of `compute_P` in parts, one per value of the exponents of
+    the first fields variables of M's ring, each formed after the previous
+    one is handed out (see `PolyMatrix._det_parts`)."""
+    C, budget = _guarded_c(M, force)
+    return C._det_parts(None, budget, fields)
+
+
+def _guarded_c(M: PolyMatrix, force: bool) -> tuple:
+    """C(M) and the pair budget of its determinant, under compute_P's
+    guards."""
     guard("polymatrix", M.n, force)
     budget = None if force else PAIR_BUDGET
-    return _c_matrix(M, budget)._det(None, budget)
+    return _c_matrix(M, budget), budget
 
 
 def _leading_block(X: PolyMatrix, m: int) -> PolyMatrix:

@@ -347,12 +347,19 @@ def _integer(value) -> int:
     # entries past 2^53, as ASCII digits after an optional sign and nothing
     # else (int() alone also takes spaces, underscores and non-ASCII digits)
     if isinstance(value, str):
-        if re.fullmatch(r"[+-]?[0-9]+", value):
-            try:
-                return int(value)
-            except ValueError:  # past the interpreter's digit limit
-                pass
-        raise SchemaError(f"{value!r} is not a decimal integer")
+        if not re.fullmatch(r"[+-]?[0-9]+", value):
+            raise SchemaError(f"{value!r} is not a decimal integer")
+        try:
+            return int(value)
+        except ValueError:
+            # the interpreter's digit limit keeps outside input from
+            # quadratic-time parsing; it stays, and the message names it
+            # instead of echoing the digits
+            import sys
+
+            digits = len(value.lstrip("+-"))
+            limit = sys.get_int_max_str_digits()
+            raise SchemaError(f"a decimal integer of {digits} digits passes the interpreter's limit of {limit} digits") from None
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError("entries must be integers")
     return value

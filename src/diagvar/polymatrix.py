@@ -12,7 +12,10 @@ the column sets the lower rows can fill through nonzero entries, and a
 minor whose remaining columns are not among them is skipped, which is
 exact.  On C(M) of the killed matrix, whose last row is zero, this cuts the
 term pairs from 14,420 to 3,742 at n = 6 and from 1,643,012 to 343,222 at
-n = 7.  `_shifted_det` runs the same DP on packed rows of
+n = 7.  Its last level can be handed out in parts, the terms that share
+the exponents of some leading variables, so a caller that reads a
+determinant part by part never holds all of it.  `_shifted_det` runs the
+same DP on packed rows of
 diag(t_0, ..., t_(n-1)) - A: each entry is packed and negated once and the
 key of t_i added on the diagonal, with no polynomial objects per entry.
 With one t throughout it is the characteristic polynomial; with a fresh t_k
@@ -37,7 +40,7 @@ def _packed_rows(rows, e: int):
     return w, [[f._at(w) for f in row] for row in rows]
 
 
-def _subset_det(rows, p, masks=(0, 0), budget=None) -> dict:
+def _subset_det(rows, p, masks=(0, 0), budget=None, low=0):
     """The packed terms of the determinant of rows, a square list of rows of
     term dicts packed at one width, skipping every product key the masks
     flag; coefficients are reduced mod p (None: over Z).  SizeGuardError
@@ -50,7 +53,17 @@ def _subset_det(rows, p, masks=(0, 0), budget=None) -> dict:
     minor is added straight into its target.  live[i] holds the column sets
     that rows i..n-1 can fill through nonzero entries, so a minor whose
     remaining columns are not in live[i + 1] could only be completed through
-    a zero entry, and is never formed."""
+    a zero entry, and is never formed.
+
+    The terms come in parts, one dict per value of key & low that a term
+    holds, each formed after the previous one is handed out.  low masks
+    whole fields at the bottom of the key, and key addition never carries
+    between fields, so the grade k & low of a product is the sum of its
+    factors' grades: the last level groups each entry's and each minor's
+    terms by grade, and part g pairs only groups whose grades sum to g.
+    Every part sees exactly the pairs it needs, so the parts form the same
+    pairs as the whole.  low = 0 puts every term in one part, with no term
+    copied.  A part whose coefficients all cancel is not handed out."""
     n = len(rows)
     full = (1 << n) - 1
     live = [{0}]
@@ -62,8 +75,9 @@ def _subset_det(rows, p, masks=(0, 0), budget=None) -> dict:
     pairs = 0
     for i, row in enumerate(rows):
         rest = live[i + 1]
+        # (target, sign, entry, minor) for each product of the level
         pending = [
-            (mask, 1 << j, entry, minor)
+            (mask | 1 << j, -1 if (i + (mask & ((1 << j) - 1)).bit_count()) % 2 else 1, entry, minor)
             for mask, minor in level.items()
             for j, entry in enumerate(row)
             if entry and not mask >> j & 1 and full ^ (mask | 1 << j) in rest
@@ -71,12 +85,37 @@ def _subset_det(rows, p, masks=(0, 0), budget=None) -> dict:
         pairs += sum(len(entry) * len(minor) for _, _, entry, minor in pending)
         if budget is not None and pairs > budget:
             raise SizeGuardError(f"pair guard: a determinant would form more than {budget} term pairs")
-        nxt: dict = {}
-        for mask, bit, entry, minor in pending:
-            sign = -1 if (i + (mask & (bit - 1)).bit_count()) % 2 else 1
-            _mul_into(nxt.setdefault(mask | bit, {}), entry, minor, sign, masks)
-        level = {mask: acc for mask, acc in nxt.items() if _reduce_in_place(acc, p)}
-    return level.get(full, {})
+        if i < n - 1:
+            level = {}
+            for target, sign, entry, minor in pending:
+                _mul_into(level.setdefault(target, {}), entry, minor, sign, masks)
+            level = {mask: acc for mask, acc in level.items() if _reduce_in_place(acc, p)}
+    # the last level's one target is the full set
+    factors = [(sign, _graded(entry, low), _graded(minor, low)) for _, sign, entry, minor in pending]
+    level = pending = None  # the factors hold all that is left of the minors
+    for g in sorted({a + b for _, eg, mg in factors for a in eg for b in mg}):
+        acc: dict = {}
+        for sign, eg, mg in factors:
+            for a, ta in eg.items():
+                tb = mg.get(g - a)
+                if tb is not None:
+                    _mul_into(acc, ta, tb, sign, masks)
+        if _reduce_in_place(acc, p):
+            yield acc
+
+
+def _graded(terms: dict, low: int) -> dict:
+    """terms grouped by grade k & low; low = 0 gives terms as grade 0's."""
+    if not low:
+        return {0: terms}
+    out: dict = {}
+    for k, c in terms.items():
+        g = k & low
+        if g in out:
+            out[g][k] = c
+        else:
+            out[g] = {k: c}
+    return out
 
 
 def _shifted_det(rows, fields, p, budget=None) -> tuple[int, int, dict]:
@@ -93,7 +132,7 @@ def _shifted_det(rows, fields, p, budget=None) -> tuple[int, int, dict]:
     neg = [[{k: -c for k, c in t.items()} for t in row] for row in packed]
     for i, f in enumerate(fields):
         neg[i][i][1 << (w * f)] = 1
-    return w, e, _subset_det(neg, p, budget=budget)
+    return w, e, next(_subset_det(neg, p, budget=budget), {})
 
 
 class PolyMatrix:
@@ -167,6 +206,13 @@ class PolyMatrix:
     def _det(self, bound, budget=None) -> MvPolynomial:
         """The determinant, dropping every monomial with an exponent above
         the per-variable bound (None: no bound), under `_subset_det`'s budget."""
+        return next(self._det_parts(bound, budget), MvPolynomial.zero(self.ctx, self.dom))
+
+    def _det_parts(self, bound, budget=None, fields=0):
+        """The terms of `_det` as polynomials in parts, one per value of the
+        exponents of the first fields variables of the context, each formed
+        after the previous one is handed out (see `_subset_det`); fields = 0
+        gives one part, and a zero determinant none."""
         # every exponent of a k-row minor is at most the sum of the top k
         # rows' exponent bounds
         emax = [max(f._e for f in row) for row in self.rows]
@@ -180,7 +226,9 @@ class PolyMatrix:
             rows = [[{k: c for k, c in t.items() if not (k + add) & flag} for t in row] for row in rows]
         if bound is not None:
             e = min(e, max(bound, default=0))
-        return MvPolynomial._raw(self.ctx, self.dom, _subset_det(rows, self.dom.p, masks, budget), e, w)
+        low = (1 << (w * fields)) - 1
+        for terms in _subset_det(rows, self.dom.p, masks, budget, low):
+            yield MvPolynomial._raw(self.ctx, self.dom, terms, e, w)
 
     def char_poly(self, *, force: bool = False) -> MvPolynomial:
         """Monic characteristic polynomial det(t*I - A).  The reserved

@@ -41,6 +41,19 @@ def perm_det_int(rows) -> int:
     return total
 
 
+def evaluate(terms, point) -> int:
+    """The sum of c * prod(a^e) over the (exponent tuple, coefficient) items
+    of terms, at the integer point (one value per variable): plain integer
+    arithmetic, sharing nothing with the ring layer."""
+    total = 0
+    for m, c in terms.items():
+        for a, e in zip(point, m):
+            if e:
+                c *= a**e
+        total += c
+    return total
+
+
 def sop_by_polynomial_P(n: int) -> tuple:
     """(sign, exponent) read off the single term of the polynomial P of the
     sop-specialized n-by-n matrix, for n <= 7; AssertionError unless P is a

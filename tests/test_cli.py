@@ -4,14 +4,16 @@ matrix loading diagnostics."""
 import json
 import os
 import select
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from diagvar import cli
-from diagvar.diagvariety import SopNormalForm
+from diagvar.diagvariety import SopNormalForm, compute_P, generic_matrix
 from diagvar.errors import DiagvarError
 from diagvar.guards import WINDOWS
+from diagvar.polyring import format_poly
 
 
 def run(capsys, *argv):
@@ -30,6 +32,27 @@ def test_pofx_specialized(capsys):
     code, out, _ = run(capsys, "pofx", "--n", "3", "--spec", "s")
     assert code == 0
     assert out == "x_1_1*x_1_2*x_2_1\n"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pofx_cell_reads_p_as_compute_p_does(n):
+    # the cell reads P part by part; its count and degree are the whole P's
+    P = compute_P(generic_matrix(n))
+    detail = cli.cell_pofx(n)["detail"]
+    assert (detail["terms"], detail["degree"]) == (len(P.terms), P.homogeneous_degree())
+    assert detail["poly"] == (format_poly(P) if len(P.terms) <= 64 else None)
+
+
+def test_pofx_cell_never_holds_all_of_p():
+    # P at n = 5 has 89,520 terms and peaks at 12.67 MiB when held whole;
+    # its largest part has 6,756
+    tracemalloc.start()
+    try:
+        cli.cell_pofx(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def test_sop_json_record(capsys):
@@ -469,6 +492,21 @@ def test_load_int_matrix_rejects_a_non_decimal_string(tmp_path, capsys, entry):
     code, out, err = run(capsys, "lemma4", "--matrix", str(path))
     assert (code, out) == (2, "")
     assert f"row 1, column 1: {entry!r} is not a decimal integer" in err
+
+
+@pytest.mark.parametrize("digits, code", [(4300, 0), (4301, 2)], ids=["at-the-limit", "past-it"])
+def test_load_int_matrix_names_the_digit_limit(tmp_path, capsys, digits, code):
+    # a unimodular matrix with one entry of the given number of digits
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "entries": [[1, "9" * digits], [0, 1]]}))
+    got, out, err = run(capsys, "lemma4", "--matrix", str(path), "--format", "json")
+    assert got == code
+    if code:
+        assert out == ""
+        assert err.strip() == f"error: row 1, column 2: a decimal integer of {digits} digits passes the interpreter's limit of 4300 digits"
+    else:
+        (record,) = json.loads(out)
+        assert record["n"] == 2
 
 
 @pytest.mark.parametrize("n", [2.7, True, "2"], ids=["float", "bool", "string"])

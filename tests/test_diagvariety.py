@@ -21,11 +21,12 @@ from diagvar.diagvariety import (
 from diagvar import diagvariety, intlattice, polymatrix, polyring
 from diagvar.errors import ContextError, DomainError, SizeGuardError
 from diagvar.guards import LIMITS, describe
-from diagvar.intlattice import IntMatrix, antidiagonal_ones, power_diagonal_check
+from diagvar.intlattice import IntMatrix, antidiagonal_ones, diag_of_powers_matrix, int_det, power_diagonal_check
 from diagvar.polymatrix import PolyMatrix, polymatrix_from_json
 from diagvar.polyring import GF, ZZ, MvPolynomial, VarContext, _width, parse_poly
 from oracles import (
     _above_antidiag_exps,
+    evaluate,
     frobenius_power_bruteforce,
     perm_det_poly,
     random_poly,
@@ -253,6 +254,59 @@ def test_p_generic_n5_matches_the_determinant_of_d():
     P = compute_P(X)
     assert len(P.terms) == 89520
     assert P == diag_matrix(X)._det(None)
+
+
+def _first_row_fields(M) -> int:
+    """The number of M's ring variables in its first row; the ring is
+    row-major, so they are its first fields."""
+    return sum(name.startswith("x_1_") for name in M.ctx.names)
+
+
+@pytest.mark.parametrize(
+    "label, n",
+    [("generic", n) for n in range(1, 6)] + [("kill_s", n) for n in range(2, 8)] + [("tilde", n) for n in range(2, 6)],
+)
+def test_p_parts_split_the_whole_by_the_first_row(monkeypatch, label, n):
+    # each part holds one exponent vector of the first row's variables, no
+    # two parts hold the same one, and together they hold exactly P's
+    # terms, formed from as many term pairs as P is
+    if label == "generic":
+        M = generic_matrix(n)
+    elif label == "kill_s":
+        M = diagvariety._killed_matrix(n, "kill_s")[0]
+    else:
+        M = specialized(n, "tilde", "both")
+    pairs = []
+
+    def counted(out, ta, tb, *args, inner=polymatrix._mul_into):
+        pairs[-1] += len(ta) * len(tb)
+        return inner(out, ta, tb, *args)
+
+    monkeypatch.setattr(polymatrix, "_mul_into", counted)
+    fields = _first_row_fields(M)
+    pairs.append(0)
+    whole = dict(compute_P(M).terms.items())
+    pairs.append(0)
+    parts = [dict(part.terms.items()) for part in diagvariety._P_parts(M, fields)]
+    grades = [{m[:fields] for m in part} for part in parts]
+    assert all(len(g) == 1 for g in grades)
+    assert len(set.union(*grades)) == len(parts)
+    union = {m: c for part in parts for m, c in part.items()}
+    assert union == whole and sum(map(len, parts)) == len(whole)
+    assert pairs[0] == pairs[1]
+
+
+def test_p_parts_of_the_generic_n5_at_integer_points():
+    # evaluated term by term in plain integers, with no ring arithmetic, the
+    # parts of P sum to det D(A) at each point A
+    rng = random.Random(1902)
+    points = [[rng.randint(-3, 3) for _ in range(25)] for _ in range(2)]
+    values = [0, 0]
+    for part in diagvariety._P_parts(generic_matrix(5), 5):
+        for i, point in enumerate(points):
+            values[i] += evaluate(part.terms, point)
+    dets = [int_det(diag_of_powers_matrix(IntMatrix([a[5 * i : 5 * i + 5] for i in range(5)]))) for a in points]
+    assert values == dets and any(dets)
 
 
 def test_killed_determinant_forms_only_completable_minors(monkeypatch):

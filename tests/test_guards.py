@@ -110,7 +110,7 @@ def _dp_pairs(monkeypatch) -> list:
         pairs.append(0)
         running.append(True)
         try:
-            return inner(*args, **kwargs)
+            yield from inner(*args, **kwargs)
         finally:
             running.pop()
 

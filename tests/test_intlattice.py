@@ -282,6 +282,16 @@ def test_intmatrix_json_rejects_a_non_decimal_string(entry):
         intmatrix_from_json({"n": 1, "entries": [[entry]]})
 
 
+def test_intmatrix_json_names_the_digit_limit_without_echoing_the_digits():
+    # the interpreter's default limit on decimal digits is 4,300: at the
+    # limit the entry loads, one digit past it is refused by name
+    assert intmatrix_from_json({"n": 1, "entries": [["-" + "9" * 4300]]}) == IntMatrix([[-(10**4300 - 1)]])
+    with pytest.raises(SchemaError) as err:
+        intmatrix_from_json({"n": 1, "entries": [["+" + "9" * 4301]]})
+    text = str(err.value)
+    assert text == "row 1, column 1: a decimal integer of 4301 digits passes the interpreter's limit of 4300 digits"
+
+
 def test_intmatrix_json_errors():
     with pytest.raises(SchemaError, match="row 2"):
         intmatrix_from_json({"n": 2, "entries": [[1, 2], [3]]})

@@ -66,8 +66,8 @@ MUTANTS = (
     Mutant(
         "det-sign-flipped",
         "src/diagvar/polymatrix.py",
-        "sign = -1 if (i + (mask & (bit - 1)).bit_count()) % 2 else 1",
-        "sign = 1 if (i + (mask & (bit - 1)).bit_count()) % 2 else -1",
+        "-1 if (i + (mask & ((1 << j) - 1)).bit_count()) % 2 else 1",
+        "1 if (i + (mask & ((1 << j) - 1)).bit_count()) % 2 else -1",
         (
             "tests/test_polymatrix.py::test_det_two_by_two_diag_columns",
             "tests/test_polymatrix.py::test_det_matches_permutation_expansion",
@@ -206,6 +206,16 @@ MUTANTS = (
         ("tests/test_guards.py::test_pair_budget_passes_at_the_largest_dp_and_stops_one_pair_below",),
     ),
     Mutant(
+        "det-part-wrong-partner-grade",
+        "src/diagvar/polymatrix.py",
+        "tb = mg.get(g - a)",
+        "tb = mg.get(g + a)",
+        (
+            "tests/test_diagvariety.py::test_p_parts_split_the_whole_by_the_first_row",
+            "tests/test_cli.py::test_pofx_cell_reads_p_as_compute_p_does",
+        ),
+    ),
+    Mutant(
         "lemma2-shared-verdict-unchecked",
         "src/diagvar/diagvariety.py",
         "    if C == C_both:\n",
@@ -279,8 +289,8 @@ MUTANTS = (
     Mutant(
         "integer-entry-without-full-match",
         "src/diagvar/intlattice.py",
-        "if re.fullmatch(",
-        "if re.match(",
+        "if not re.fullmatch(",
+        "if not re.match(",
         (
             "tests/test_intlattice.py::test_intmatrix_json_rejects_a_non_decimal_string",
             "tests/test_cli.py::test_load_int_matrix_rejects_a_non_decimal_string",
@@ -295,6 +305,23 @@ MUTANTS = (
             "tests/test_guards.py::test_unforced_call_outside_window_fails_fast",
             "tests/test_cli.py::test_guard_violation_exits_2_and_names_guard",
         ),
+    ),
+    Mutant(
+        "cell-pofx-drops-its-last-part",
+        "src/diagvar/cli.py",
+        "for part in diagvariety._P_parts(diagvariety.generic_matrix(n), n, force=force):",
+        "for part in list(diagvariety._P_parts(diagvariety.generic_matrix(n), n, force=force))[:-1]:",
+        (
+            "tests/test_cli.py::test_pofx_cell_reads_p_as_compute_p_does",
+            "tests/test_cli.py::test_suite_parallel_matches_serial",
+        ),
+    ),
+    Mutant(
+        "cell-pofx-part-mask-zero",
+        "src/diagvar/cli.py",
+        "generic_matrix(n), n, force=force)",
+        "generic_matrix(n), 0, force=force)",
+        ("tests/test_cli.py::test_pofx_cell_never_holds_all_of_p",),
     ),
     Mutant(
         "sop-sign-dropped",
@@ -380,8 +407,8 @@ MUTANTS = (
     Mutant(
         "det-level-not-reduced",
         "src/diagvar/polymatrix.py",
-        "if _reduce_in_place(acc, p)}",
-        "if acc}",
+        "if _reduce_in_place(acc, p):",
+        "if acc:",
         (
             "tests/test_polymatrix.py::test_det_cancelling_mod_p_is_zero",
             "tests/test_polyring_properties.py::test_modp_matrix_results_are_canonical",
