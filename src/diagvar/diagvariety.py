@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import lru_cache
+from itertools import zip_longest
 from typing import NamedTuple
 
 from . import intlattice
 from .fpurity import FedderVerdict, fedder_check
 from .guards import PAIR_BUDGET, guard
-from .polymatrix import PolyMatrix, _shifted_det
+from .polymatrix import PolyMatrix, _product_parts, _shifted_det
 from .polyring import ZZ, Domain, MvPolynomial, VarContext, _reduce_in_place
 
 __all__ = [
@@ -237,17 +238,28 @@ def _tilde_c(n: int, mode: str) -> PolyMatrix:
     return _c_matrix(build_specialization(n, "tilde", mode).apply_to_matrix(generic_matrix(n)))
 
 
-def _corner_side(n: int) -> MvPolynomial:
+def _corner_side(n: int):
     """The right side of lemma2, P(X0) * det(x_n_n * I - X0), for the
-    leading (n-1) block X0 of the generic matrix.  No entry of X0 uses
-    x_n_n, so the corner factor, the characteristic polynomial of X0
-    evaluated at x_n_n, is one characteristic polynomial taken in x_n_n,
-    already in X's context.  At n = 1, X0 is empty and both factors are 1."""
+    leading (n-1) block X0 of the generic matrix, in the parts of
+    `PolyMatrix._det_parts` with fields = n, the first row's variables.
+    No entry of X0 uses x_n_n, so the corner factor, the characteristic
+    polynomial of X0 evaluated at x_n_n, is one characteristic polynomial
+    taken in x_n_n, already in X's context.  At n = 1, X0 is empty and
+    both factors are 1."""
     X = generic_matrix(n)
     if n == 1:
-        return MvPolynomial.one(X.ctx, X.dom)
+        yield MvPolynomial.one(X.ctx, X.dom)
+        return
     X0 = _leading_block(X, n - 1)
-    return compute_P(X0, force=True) * X0._char_poly(var(n, n))
+    yield from _product_parts(compute_P(X0, force=True), X0._char_poly(var(n, n)), n)
+
+
+def _same_parts(C: PolyMatrix, n: int) -> bool:
+    """det C == the right side of lemma2, compared one part of each side at
+    a time.  Both sides come in ascending order of their exponents of the
+    first row's variables and skip a part that cancels, so the parts pair
+    up exactly when the sides are equal."""
+    return all(a == b for a, b in zip_longest(C._det_parts(None, None, n), _corner_side(n)))
 
 
 @lru_cache(maxsize=None)
@@ -256,7 +268,7 @@ def _corner_identity(n: int) -> tuple:
     # explicit force); keeps C of the "both" mode and the verdict, no other
     # polynomial
     C = _tilde_c(n, "both")
-    return C, C._det(None) == _corner_side(n)
+    return C, _same_parts(C, n)
 
 
 def verify_block_factorization(n: int, mode: str = "both", *, force: bool = False) -> bool:
@@ -264,6 +276,17 @@ def verify_block_factorization(n: int, mode: str = "both", *, force: bool = Fals
     for the corner, P factors through the leading block X0:
 
         P(killed X) == P(X0) * det(x_n_n * I - X0)
+
+    This is the bordering lemma at c = x_n_n.  Let M be block-triangular,
+    with diagonal blocks X0, of size n - 1, and a corner c.  Then
+    P(M) = P(X0) * chi(c), where chi(c) = det(c * I - X0).  Proof: each
+    power of M is block-triangular too, so diag(M^k) is (diag(X0^k), c^k).
+    Let chi(t) = sum_k a_k t^k, with a_(n-1) = 1.  Adding a_k times column
+    k + 1 of D(M) to its last column, for each k < n - 1, changes no
+    determinant and makes that column sum_k a_k diag(M^k) = (diag(chi(X0)),
+    chi(c)).  chi(X0) = 0 by Cayley-Hamilton, so the last column is
+    (0, ..., 0, chi(c)), and expanding along it gives chi(c) times the
+    leading block, which is D(X0).
 
     The left side is det C of the killed matrix (see `_c_matrix`).  C is
     built from the principal minors of M_k, M with row and column k
@@ -275,14 +298,16 @@ def verify_block_factorization(n: int, mode: str = "both", *, force: bool = Fals
     per n, is every mode's.  Each mode still builds its own C and takes
     that verdict only when its C equals the shared one exactly (equal
     matrices have equal determinants); otherwise it expands its own
-    determinant against the same right side.  True exactly when the
-    identity holds."""
+    determinant against the same right side.  Both sides are computed,
+    neither through the lemma, and compared one part at a time, the terms
+    that share their exponents of the first row's variables, so neither
+    side is held whole.  True exactly when the identity holds."""
     guard("lemma2", n, force)
     C = _tilde_c(n, mode)
     C_both, holds = _corner_identity(n)
     if C == C_both:
         return holds
-    return C._det(None) == _corner_side(n)
+    return _same_parts(C, n)
 
 
 def verify_peeling_identity(n: int, *, force: bool = False) -> bool:

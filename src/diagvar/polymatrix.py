@@ -93,6 +93,13 @@ def _subset_det(rows, p, masks=(0, 0), budget=None, low=0):
     # the last level's one target is the full set
     factors = [(sign, _graded(entry, low), _graded(minor, low)) for _, sign, entry, minor in pending]
     level = pending = None  # the factors hold all that is left of the minors
+    yield from _graded_sum(factors, p, masks)
+
+
+def _graded_sum(factors, p, masks=(0, 0)):
+    """The packed terms of the sum of sign * e * m over the factors
+    (sign, eg, mg), e and m term dicts grouped by grade (see `_graded`), in
+    parts by ascending grade, as `_subset_det` hands out its last level."""
     for g in sorted({a + b for _, eg, mg in factors for a in eg for b in mg}):
         acc: dict = {}
         for sign, eg, mg in factors:
@@ -102,6 +109,18 @@ def _subset_det(rows, p, masks=(0, 0), budget=None, low=0):
                     _mul_into(acc, ta, tb, sign, masks)
         if _reduce_in_place(acc, p):
             yield acc
+
+
+def _product_parts(f: MvPolynomial, g: MvPolynomial, fields: int):
+    """f * g for f and g of one context and domain, in the parts of
+    `PolyMatrix._det_parts`: one per value of the exponents of the first
+    fields variables, in ascending order of those exponents read as one
+    packed key, which no field width changes."""
+    e = f._e + g._e
+    w = max(f._w, g._w, _width(e))
+    low = (1 << (w * fields)) - 1
+    for terms in _graded_sum([(1, _graded(f._at(w), low), _graded(g._at(w), low))], f.dom.p):
+        yield MvPolynomial._raw(f.ctx, f.dom, terms, e, w)
 
 
 def _graded(terms: dict, low: int) -> dict:

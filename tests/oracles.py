@@ -4,7 +4,7 @@ from itertools import permutations
 
 from diagvar.diagvariety import build_specialization, compute_P, generic_matrix
 from diagvar.errors import ContextError
-from diagvar.intlattice import IntMatrix
+from diagvar.intlattice import IntMatrix, diag_of_powers_matrix, int_det
 from diagvar.polyring import GF, MvPolynomial
 
 
@@ -52,6 +52,11 @@ def evaluate(terms, point) -> int:
                 c *= a**e
         total += c
     return total
+
+
+def int_P(A: IntMatrix) -> int:
+    """P(A) = det D(A) of an integer matrix, in plain integer arithmetic."""
+    return int_det(diag_of_powers_matrix(A))
 
 
 def sop_by_polynomial_P(n: int) -> tuple:

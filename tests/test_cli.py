@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from diagvar import cli
+from diagvar import cli, diagvariety
 from diagvar.diagvariety import SopNormalForm, compute_P, generic_matrix
 from diagvar.errors import DiagvarError
 from diagvar.guards import WINDOWS
@@ -53,6 +53,19 @@ def test_pofx_cell_never_holds_all_of_p():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, peak
+
+
+def test_lemma2_cell_never_holds_a_whole_side():
+    # each side of the corner identity at n = 5 has 12,792 terms; compared
+    # whole they peak at 2.69 MiB, and part by part at 0.59 MiB
+    diagvariety._corner_identity.cache_clear()
+    tracemalloc.start()
+    try:
+        assert cli.cell_lemma2(5, "row")["pass"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20, peak
 
 
 def test_sop_json_record(capsys):

@@ -21,13 +21,14 @@ from diagvar.diagvariety import (
 from diagvar import diagvariety, intlattice, polymatrix, polyring
 from diagvar.errors import ContextError, DomainError, SizeGuardError
 from diagvar.guards import LIMITS, describe
-from diagvar.intlattice import IntMatrix, antidiagonal_ones, diag_of_powers_matrix, int_det, power_diagonal_check
+from diagvar.intlattice import IntMatrix, antidiagonal_ones, int_det, power_diagonal_check
 from diagvar.polymatrix import PolyMatrix, polymatrix_from_json
 from diagvar.polyring import GF, ZZ, MvPolynomial, VarContext, _width, parse_poly
 from oracles import (
     _above_antidiag_exps,
     evaluate,
     frobenius_power_bruteforce,
+    int_P,
     perm_det_poly,
     random_poly,
     sop_by_polynomial_P,
@@ -305,7 +306,7 @@ def test_p_parts_of_the_generic_n5_at_integer_points():
     for part in diagvariety._P_parts(generic_matrix(5), 5):
         for i, point in enumerate(points):
             values[i] += evaluate(part.terms, point)
-    dets = [int_det(diag_of_powers_matrix(IntMatrix([a[5 * i : 5 * i + 5] for i in range(5)]))) for a in points]
+    dets = [int_P(IntMatrix([a[5 * i : 5 * i + 5] for i in range(5)])) for a in points]
     assert values == dets and any(dets)
 
 
@@ -523,9 +524,9 @@ def test_block_factorization_n2():
 
 
 def test_block_factorization_forced_at_n1():
-    # X0 is empty: P(X0) = 1 and det(x_1_1 * I - X0) = 1, and P of any
-    # 1-by-1 matrix is 1
-    assert diagvariety._corner_side(1) == MvPolynomial.one(generic_matrix(1).ctx, ZZ)
+    # X0 is empty: P(X0) = 1 and det(x_1_1 * I - X0) = 1, one part, and P
+    # of any 1-by-1 matrix is 1
+    assert list(diagvariety._corner_side(1)) == [MvPolynomial.one(generic_matrix(1).ctx, ZZ)]
     for mode in ("row", "column", "both"):
         assert verify_block_factorization(1, mode, force=True), mode
 
@@ -591,9 +592,48 @@ def test_block_factorization_expands_its_own_determinant_when_c_differs(monkeypa
         assert verify_block_factorization(3, mode), mode
     side = diagvariety._corner_side
     monkeypatch.setattr(diagvariety, "_corner_identity", lambda n: (other, True))
-    monkeypatch.setattr(diagvariety, "_corner_side", lambda n: side(n) + 1)
+    monkeypatch.setattr(diagvariety, "_corner_side", lambda n: (-part for part in side(n)))
     for mode in ("row", "column", "both"):
         assert not verify_block_factorization(3, mode), mode
+
+
+@pytest.mark.parametrize("edit", ["last-part-dropped", "one-part-added"])
+def test_a_right_side_one_part_short_or_long_fails_every_mode(monkeypatch, edit):
+    # the sides are compared part by part; a part more or less on one side
+    # is a difference, even where every pair formed agrees
+    side = diagvariety._corner_side
+
+    def edited(n):
+        parts = list(side(n))
+        if edit == "last-part-dropped":
+            return parts[:-1]
+        return parts + [parts[-1] * MvPolynomial.variable(parts[-1].ctx, ZZ, "x_1_1")]
+
+    monkeypatch.setattr(diagvariety, "_corner_side", edited)
+    monkeypatch.setattr(diagvariety, "_corner_identity", diagvariety._corner_identity.__wrapped__)
+    for mode in diagvariety.TILDE_MODES:
+        assert not verify_block_factorization(4, mode), mode
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_corner_side_at_integer_points(n):
+    # evaluated term by term in plain integers, the right side's parts sum
+    # to P of the point with the tilde-both cells zeroed, and to
+    # P(A0) * det(a_n_n * I - A0) for its leading block A0
+    rng = random.Random(2024 + n)
+    points = [
+        [[rng.randint(-3, 3) if (i < n - 1) == (j < n - 1) else 0 for j in range(n)] for i in range(n)]
+        for _ in range(2)
+    ]
+    values = [0, 0]
+    for part in diagvariety._corner_side(n):
+        for k, a in enumerate(points):
+            values[k] += evaluate(part.terms, [x for row in a for x in row])
+    for value, a in zip(values, points):
+        A0 = [row[: n - 1] for row in a[: n - 1]]
+        corner = [[a[-1][-1] * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(A0)]
+        assert value == int_P(IntMatrix(a)) == int_P(IntMatrix(A0)) * int_det(IntMatrix(corner))
+    assert any(values)
 
 
 def test_block_factorization_guard():

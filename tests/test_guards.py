@@ -135,7 +135,7 @@ def test_windows_keep_the_internal_routes_within_the_layer_budgets(monkeypatch):
     # _char_poly's goes through the same route in polymatrix
     sizes = {"_det": set(), "_char_poly": set()}
 
-    def record_det(self, *args, inner=PolyMatrix._det):
+    def record_det(self, *args, inner=PolyMatrix._det_parts):
         sizes["_det"].add(self.n)
         return inner(self, *args)
 
@@ -146,7 +146,7 @@ def test_windows_keep_the_internal_routes_within_the_layer_budgets(monkeypatch):
 
         return record
 
-    monkeypatch.setattr(PolyMatrix, "_det", record_det)
+    monkeypatch.setattr(PolyMatrix, "_det_parts", record_det)
     monkeypatch.setattr(polymatrix, "_shifted_det", recorder("_char_poly", polymatrix._shifted_det))
     monkeypatch.setattr(diagvariety, "_shifted_det", recorder("_det", diagvariety._shifted_det))
     pairs = _dp_pairs(monkeypatch)

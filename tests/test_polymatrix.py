@@ -8,7 +8,7 @@ import pytest
 
 from diagvar.errors import ContextError, SchemaError, SizeGuardError
 from diagvar.intlattice import IntMatrix, int_pow, intmatrix_from_json
-from diagvar.polymatrix import PolyMatrix, polymatrix_from_json
+from diagvar.polymatrix import PolyMatrix, _product_parts, polymatrix_from_json
 from diagvar.polyring import GF, ZZ, MvPolynomial, VarContext, parse_poly
 from oracles import perm_det_poly, random_poly, tuple_with_context
 
@@ -165,6 +165,28 @@ def test_t_and_used_variables_are_read_off_whole_fields_at_width_16():
     assert c == (t - f) * (t - f)
     with pytest.raises(ContextError):
         PolyMatrix([[f, zero], [zero, g]]).char_poly()
+
+
+@pytest.mark.parametrize("dom", [ZZ, GF(3)], ids=["ZZ", "GF3"])
+@pytest.mark.parametrize("exps", [(2, 2), (127, 130), (256, 1)], ids=["w8", "w8-to-w16", "w16-by-w8"])
+def test_product_parts_sum_to_the_product_and_are_packed_as_it(dom, exps):
+    # the parts pick their exponent bound and field width apart from
+    # MvPolynomial._mul, so each must be packed as the whole product is
+    ctx = VarContext.matrix(2)
+    rng = random.Random(sum(exps))
+    f, g = (
+        random_poly(rng, ctx, dom, max_terms=6) + MvPolynomial(ctx, dom, {(a, 0, 1, 0): 1, (0, 1, 0, 0): 2})
+        for a in exps
+    )
+    whole = f * g
+    parts = list(_product_parts(f, g, 2))
+    assert len(parts) > 1 and all(parts)
+    assert all((part._e, part._w) == (whole._e, whole._w) for part in parts)
+    low = (1 << (2 * whole._w)) - 1
+    grades = [{k & low for k in part._t} for part in parts]
+    assert all(len(grade) == 1 for grade in grades)
+    assert [min(grade) for grade in grades] == sorted({min(grade) for grade in grades})
+    assert sum(parts, MvPolynomial.zero(ctx, dom)) == whole
 
 
 def test_char_poly_guard():

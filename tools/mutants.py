@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
-COPIED = ("src", "tests", "pyproject.toml")
+COPIED = ("src", "tests", "tools", "pyproject.toml", "BENCHMARK.json")
 
 
 class Mutant(NamedTuple):
@@ -213,7 +213,29 @@ MUTANTS = (
         (
             "tests/test_diagvariety.py::test_p_parts_split_the_whole_by_the_first_row",
             "tests/test_cli.py::test_pofx_cell_reads_p_as_compute_p_does",
+            "tests/test_diagvariety.py::test_block_factorization_all_modes_small",
         ),
+    ),
+    Mutant(
+        "lemma2-parts-compared-to-the-shorter-side",
+        "src/diagvar/diagvariety.py",
+        "zip_longest(C._det_parts(None, None, n), _corner_side(n))",
+        "zip(C._det_parts(None, None, n), _corner_side(n))",
+        ("tests/test_diagvariety.py::test_a_right_side_one_part_short_or_long_fails_every_mode",),
+    ),
+    Mutant(
+        "product-parts-packed-wider-than-the-product",
+        "src/diagvar/polymatrix.py",
+        "w = max(f._w, g._w, _width(e))",
+        "w = max(f._w, g._w, _width(e), 16)",
+        ("tests/test_polymatrix.py::test_product_parts_sum_to_the_product_and_are_packed_as_it",),
+    ),
+    Mutant(
+        "corner-product-sign-flipped",
+        "src/diagvar/polymatrix.py",
+        "_graded_sum([(1, _graded(f._at(w), low)",
+        "_graded_sum([(-1, _graded(f._at(w), low)",
+        ("tests/test_diagvariety.py::test_corner_side_at_integer_points",),
     ),
     Mutant(
         "lemma2-shared-verdict-unchecked",
@@ -515,6 +537,13 @@ MUTANTS = (
             "tests/test_intlattice.py::test_diag_of_powers_matrix_columns",
             "tests/test_diagvariety.py::test_sop_normal_form_displayed_values",
         ),
+    ),
+    Mutant(
+        "bench-stored-median-off-its-runs",
+        "tools/bench.py",
+        '"median": statistics.median(runs)',
+        '"median": statistics.median(runs[1:])',
+        ("tests/test_bench.py::test_the_writer_stores_the_median_and_quartiles_of_each_sides_runs",),
     ),
     Mutant(
         "export-dropped-from-a-module-all",
