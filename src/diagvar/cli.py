@@ -64,6 +64,7 @@ def cell_pofx(n: int, force: bool = False) -> dict:
         degrees.update(part._degrees())
         if terms <= 64:
             kept.append(part)
+        del part  # the next part is formed without this one
     expected = n * (n - 1) // 2
     degree = degrees.pop() if len(degrees) == 1 else None
     detail = {

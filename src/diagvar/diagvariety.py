@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import lru_cache
-from itertools import zip_longest
 from typing import NamedTuple
 
 from . import intlattice
@@ -258,8 +257,14 @@ def _same_parts(C: PolyMatrix, n: int) -> bool:
     """det C == the right side of lemma2, compared one part of each side at
     a time.  Both sides come in ascending order of their exponents of the
     first row's variables and skip a part that cancels, so the parts pair
-    up exactly when the sides are equal."""
-    return all(a == b for a, b in zip_longest(C._det_parts(None, None, n), _corner_side(n)))
+    up exactly when the sides are equal.  Each left part is dropped before
+    the next pair is formed, so at most one part of each side is held."""
+    right = iter(_corner_side(n))
+    for left in C._det_parts(None, None, n):
+        if left != next(right, None):
+            return False
+        del left
+    return next(right, None) is None
 
 
 @lru_cache(maxsize=None)

@@ -115,12 +115,14 @@ def _product_parts(f: MvPolynomial, g: MvPolynomial, fields: int):
     """f * g for f and g of one context and domain, in the parts of
     `PolyMatrix._det_parts`: one per value of the exponents of the first
     fields variables, in ascending order of those exponents read as one
-    packed key, which no field width changes."""
+    packed key, which no field width changes.  No part is held here once
+    the next is asked for."""
     e = f._e + g._e
     w = max(f._w, g._w, _width(e))
     low = (1 << (w * fields)) - 1
     for terms in _graded_sum([(1, _graded(f._at(w), low), _graded(g._at(w), low))], f.dom.p):
         yield MvPolynomial._raw(f.ctx, f.dom, terms, e, w)
+        del terms
 
 
 def _graded(terms: dict, low: int) -> dict:
@@ -230,8 +232,9 @@ class PolyMatrix:
     def _det_parts(self, bound, budget=None, fields=0):
         """The terms of `_det` as polynomials in parts, one per value of the
         exponents of the first fields variables of the context, each formed
-        after the previous one is handed out (see `_subset_det`); fields = 0
-        gives one part, and a zero determinant none."""
+        after the previous one is handed out and no longer held here (see
+        `_subset_det`); fields = 0 gives one part, and a zero determinant
+        none."""
         # every exponent of a k-row minor is at most the sum of the top k
         # rows' exponent bounds
         emax = [max(f._e for f in row) for row in self.rows]
@@ -248,6 +251,7 @@ class PolyMatrix:
         low = (1 << (w * fields)) - 1
         for terms in _subset_det(rows, self.dom.p, masks, budget, low):
             yield MvPolynomial._raw(self.ctx, self.dom, terms, e, w)
+            del terms
 
     def char_poly(self, *, force: bool = False) -> MvPolynomial:
         """Monic characteristic polynomial det(t*I - A).  The reserved

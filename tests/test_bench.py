@@ -84,3 +84,38 @@ def test_the_writer_stores_the_median_and_quartiles_of_each_sides_runs():
     wall = doc["workloads"]["suite"]["metrics"]["wall_s"]
     assert (wall["parent"]["median"], wall["change"]["median"]) == (5.5, 5.25)
     assert wall["wins"] == {"parent": 2, "change": 8}
+
+
+def _checkout(path: Path) -> Path:
+    (path / "perfbench").mkdir(parents=True)
+    (path / "perfbench" / "run.py").write_text("")
+    return path
+
+
+def test_a_parent_path_of_another_length_is_refused(tmp_path, monkeypatch, capsys):
+    # a run's paths enter its interpreter's memory, so the two sides must
+    # run from paths of one length
+    monkeypatch.setattr(bench, "ROOT", _checkout(tmp_path / "change"))
+    for name in ("parent1", "paren"):
+        with pytest.raises(SystemExit) as exit_:
+            bench.main(["--label", "x", "--parent", str(_checkout(tmp_path / name))])
+        assert exit_.value.code == 2
+        assert "they must match" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*/BENCH_*.json"))
+
+
+def test_a_parent_path_of_the_same_length_is_run(tmp_path, monkeypatch):
+    change = _checkout(tmp_path / "change")
+    (change / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    monkeypatch.setattr(bench, "ROOT", change)
+    ran = []
+
+    def run_once(checkout, workload, seed):
+        ran.append(checkout)
+        result = {"metrics": {m["name"]: {"value": 1.0} for m in SPEC["end_to_end"]}, "attempted": 1, "failed": 0}
+        return result, {key: None for key in META_KEYS} | {"workload": workload, "seed": seed}
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    assert bench.main(["--label", "x", "--parent", str(_checkout(tmp_path / "parent"))]) == 0
+    assert set(ran) == {change, tmp_path / "parent"}
+    check_bench(json.loads((change / "BENCH_x.json").read_text()))

@@ -5,11 +5,12 @@ import json
 import os
 import select
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
 
-from diagvar import cli, diagvariety
+from diagvar import cli, diagvariety, polymatrix
 from diagvar.diagvariety import SopNormalForm, compute_P, generic_matrix
 from diagvar.errors import DiagvarError
 from diagvar.guards import WINDOWS
@@ -45,7 +46,8 @@ def test_pofx_cell_reads_p_as_compute_p_does(n):
 
 def test_pofx_cell_never_holds_all_of_p():
     # P at n = 5 has 89,520 terms and peaks at 12.67 MiB when held whole;
-    # its largest part has 6,756
+    # its largest part has 6,756, and read part by part, each dropped
+    # before the next is formed, the cell peaks at 1.24 MiB
     tracemalloc.start()
     try:
         cli.cell_pofx(5)
@@ -57,7 +59,8 @@ def test_pofx_cell_never_holds_all_of_p():
 
 def test_lemma2_cell_never_holds_a_whole_side():
     # each side of the corner identity at n = 5 has 12,792 terms; compared
-    # whole they peak at 2.69 MiB, and part by part at 0.59 MiB
+    # whole they peak at 2.69 MiB, and part by part, one part of each side
+    # held at a time, at 0.46 MiB
     diagvariety._corner_identity.cache_clear()
     tracemalloc.start()
     try:
@@ -66,6 +69,37 @@ def test_lemma2_cell_never_holds_a_whole_side():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 2**20, peak
+
+
+class _Part(dict):
+    """A part's terms, in a dict that a weak reference can watch."""
+
+
+@pytest.mark.parametrize("cell", ["pofx", "lemma2"])
+def test_each_part_is_dropped_before_the_next_is_formed(monkeypatch, cell):
+    # every stream of parts, P's in the pofx cell and both sides of the
+    # corner identity in the lemma2 cell, has let go of a part by the time
+    # it is asked for the next, so a reader holds one part per stream
+    formed, held = [], []
+
+    def graded_sum(*args, inner=polymatrix._graded_sum):
+        for terms in inner(*args):
+            part = _Part(terms)
+            ref = weakref.ref(part)
+            formed.append(len(part))
+            del terms
+            yield part
+            del part
+            if ref() is not None:
+                held.append(len(ref()))
+
+    monkeypatch.setattr(polymatrix, "_graded_sum", graded_sum)
+    if cell == "pofx":
+        assert cli.cell_pofx(5)["pass"]
+    else:
+        diagvariety._corner_identity.cache_clear()
+        assert cli.cell_lemma2(5, "row")["pass"]
+    assert len(formed) > 2 and held == []
 
 
 def test_sop_json_record(capsys):

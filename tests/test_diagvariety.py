@@ -310,6 +310,55 @@ def test_p_parts_of_the_generic_n5_at_integer_points():
     assert values == dets and any(dets)
 
 
+def _check_at_integer_points(P, n, kept, seed) -> None:
+    """AssertionError unless P, evaluated term by term in plain integers,
+    is int_P(a) at 2 seeded n-by-n matrices a, and nonzero at one.  Each a
+    is nonzero in [-3, 3] at each cell (i, j), 1-based, for which kept(i, j)
+    holds, so that every monomial of P counts, and zero elsewhere; each
+    variable x_i_j of P's ring is read from a by its name."""
+    rng = random.Random(seed)
+    cells = [tuple(int(k) for k in name.split("_")[1:]) for name in P.ctx.names]
+    values = []
+    for _ in range(2):
+        a = [[rng.choice((-3, -2, -1, 1, 2, 3)) if kept(i, j) else 0 for j in range(1, n + 1)] for i in range(1, n + 1)]
+        values.append(evaluate(P.terms, [a[i - 1][j - 1] for i, j in cells]))
+        assert values[-1] == int_P(IntMatrix(a))
+    assert any(values)
+
+
+@pytest.mark.parametrize("label, n", [("kill_s", n) for n in range(1, 8)] + [("kill_s0", n) for n in range(1, 7)])
+def test_killed_p_at_integer_points(label, n):
+    # P of each kill is taken in the ring of its survivors, which are read
+    # here from the definition, so a survivor missing from the ring shows
+    top = n if label == "kill_s" else n + 1
+    P = compute_P(diagvariety._killed_matrix(n, label)[0])
+    _check_at_integer_points(P, n, lambda i, j: i + j <= top, f"{label}-{n}")
+
+
+@pytest.mark.parametrize("mode", diagvariety.TILDE_MODES)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_tilde_p_at_integer_points(mode, n):
+    # the last row and/or column is zero except the corner
+    zero_row, zero_col = mode in ("row", "both"), mode in ("column", "both")
+    P = compute_P(specialized(n, "tilde", mode))
+
+    def kept(i, j):
+        return (i, j) == (n, n) or not (zero_row and i == n or zero_col and j == n)
+
+    _check_at_integer_points(P, n, kept, f"tilde-{mode}-{n}")
+
+
+@pytest.mark.parametrize("n", [6, 9, 12])
+def test_det_c_of_a_constant_matrix_is_its_p(n):
+    # det C(A) = det D(A) far past the polynomial window: C is read off the
+    # shifted determinant, D(A) is built from integer powers of A
+    rng = random.Random(f"c-{n}")
+    a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    ctx = VarContext([])
+    M = PolyMatrix([[MvPolynomial.constant(ctx, ZZ, x) for x in row] for row in a])
+    assert diagvariety._c_matrix(M)._det(None) == int_P(IntMatrix(a)) != 0
+
+
 def test_killed_determinant_forms_only_completable_minors(monkeypatch):
     # the last row of the killed matrix is zero, so C[n-1][k] = 0 for
     # k < n - 1 and only one minor on the top n - 1 rows can be completed;

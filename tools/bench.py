@@ -10,8 +10,9 @@ For each workload that BENCHMARK.json gates, 10 pairs of
 are run, one side in the parent checkout DIR and one in this checkout, each
 with its own perfbench and src.  Pair i uses seed 71 + i on both sides, and
 the side that runs first alternates from pair to pair, the parent first in
-pair 0.  Give DIR a path as long as this checkout's, as a run's paths enter
-its interpreter's memory.
+pair 0.  DIR must resolve to a path as long as this checkout's, as a run's
+paths enter its interpreter's memory: identical trees at paths one
+character apart differ in peak RSS by more than the benchmark's bound.
 
 The file holds, per workload and end-to-end metric of BENCHMARK.json, each
 run's median (``runs``, one per pair), the median and q1-q3 of each side's
@@ -116,9 +117,12 @@ def main(argv=None) -> int:
         ap.error("--label may hold only letters, digits, '.', '_' and '-'")
     if not (args.parent / "perfbench" / "run.py").is_file():
         ap.error(f"{args.parent} has no perfbench/run.py")
+    parent = args.parent.resolve()
+    if len(str(parent)) != len(str(ROOT)):
+        ap.error(f"{parent} has {len(str(parent))} characters, this checkout {len(str(ROOT))}; they must match")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    checkouts = {"parent": args.parent.resolve(), "change": ROOT}
+    checkouts = {"parent": parent, "change": ROOT}
     runs = {w["name"]: {side: [] for side in SIDES} for w in spec["workloads"]}
     for workload, by_side in runs.items():
         for i in range(PAIRS):

@@ -219,9 +219,16 @@ MUTANTS = (
     Mutant(
         "lemma2-parts-compared-to-the-shorter-side",
         "src/diagvar/diagvariety.py",
-        "zip_longest(C._det_parts(None, None, n), _corner_side(n))",
-        "zip(C._det_parts(None, None, n), _corner_side(n))",
+        "    return next(right, None) is None\n",
+        "    return True\n",
         ("tests/test_diagvariety.py::test_a_right_side_one_part_short_or_long_fails_every_mode",),
+    ),
+    Mutant(
+        "det-part-held-across-the-next",
+        "src/diagvar/polymatrix.py",
+        "            del terms\n",
+        "",
+        ("tests/test_cli.py::test_each_part_is_dropped_before_the_next_is_formed",),
     ),
     Mutant(
         "product-parts-packed-wider-than-the-product",
@@ -236,6 +243,13 @@ MUTANTS = (
         "_graded_sum([(1, _graded(f._at(w), low)",
         "_graded_sum([(-1, _graded(f._at(w), low)",
         ("tests/test_diagvariety.py::test_corner_side_at_integer_points",),
+    ),
+    Mutant(
+        "c-row-decoding-sign-dropped",
+        "src/diagvar/diagvariety.py",
+        "acc[m] = acc.get(m, 0) + c",
+        "acc[m] = acc.get(m, 0) + abs(c)",
+        ("tests/test_diagvariety.py::test_det_c_of_a_constant_matrix_is_its_p",),
     ),
     Mutant(
         "lemma2-shared-verdict-unchecked",
