@@ -279,8 +279,9 @@ def _handle_pofx(args) -> list:
     M = load_matrix(args.matrix, polymatrix_from_json) if args.matrix else diagvariety.generic_matrix(args.n)
     detail = {}
     if args.spec:
-        spec = diagvariety.build_specialization(M.n, SPEC_LABELS.get(args.spec, args.spec), args.mode)
-        M = spec.apply_to_matrix(M)
+        # built in M's own context, which holds t when a file entry uses it
+        asg = diagvariety._assignment(M.n, SPEC_LABELS.get(args.spec, args.spec), args.mode, M.ctx, M.dom)
+        M = diagvariety.Specialization(asg).apply_to_matrix(M)
         detail["spec"] = args.spec
     P = diagvariety.compute_P(M, force=args.force)
     detail.update(poly=format_poly(P), terms=len(P.terms))

@@ -61,71 +61,74 @@ class Specialization:
         return M.map_entries(lambda f: f._substitute(reps, masks))
 
 
-def _cut(n: int, label: str) -> int:
-    """x_i_j survives the kill_s0 assignment exactly when i + j < n + 2, and
-    the kill_s and sop assignments exactly when i + j < n + 1."""
-    return n + 2 if label == "kill_s0" else n + 1
+def _kept(n: int, label: str | None = None, mode: str | None = None) -> list:
+    """The cells (i, j) of the n-by-n grid whose x_i_j the label keeps, in
+    row-major order; the label's assignment zeroes every other cell.
+
+    None     : every cell (the generic matrix)
+    kill_s   : the cells strictly above the main anti-diagonal (i + j <= n)
+    kill_s0  : the cells on and above the main anti-diagonal (i + j <= n + 1)
+    sop      : the kill_s cells, each identified with x_1_1 (see `_assignment`)
+    tilde    : every cell but those of the last row ("row"), the last column
+               ("column") or both ("both"); the corner x_n_n is kept"""
+    grid = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    if label == "tilde":
+        if mode not in TILDE_MODES:
+            raise ValueError(f"tilde mode must be one of {TILDE_MODES}, got {mode!r}")
+        last_row, last_col = mode != "column", mode != "row"
+        return [(i, j) for i, j in grid if i == j == n or not (last_row and i == n or last_col and j == n)]
+    if label not in (None, "kill_s", "kill_s0", "sop"):
+        raise ValueError(f"unknown specialization label {label!r}")
+    if mode is not None:
+        raise ValueError(f"{label} takes no mode")
+    bound = 2 * n if label is None else n + 1 if label == "kill_s0" else n
+    return [(i, j) for i, j in grid if i + j <= bound]
+
+
+def _assignment(n: int, label: str, mode: str | None, ctx: VarContext, dom: Domain) -> dict:
+    """The label's assignment on the n-by-n grid, built in ctx and dom,
+    which hold every x_i_j: each cell outside `_kept` goes to zero, and
+    under sop each kept cell but (1, 1) goes to x_1_1."""
+    kept = _kept(n, label, mode)
+    zero = MvPolynomial.zero(ctx, dom)
+    asg = {var(i, j): zero for i, j in _kept(n) if (i, j) not in kept}
+    if label == "sop":
+        x11 = MvPolynomial.variable(ctx, dom, var(1, 1))
+        asg.update((var(i, j), x11) for i, j in kept if (i, j) != (1, 1))
+    return asg
 
 
 def build_specialization(n: int, label: str, mode: str | None = None, dom: Domain = ZZ) -> Specialization:
-    """The built-in assignments on the n-by-n grid.
-
-    kill_s   : zero on and below the main anti-diagonal (i + j >= n + 1)
-    kill_s0  : zero strictly below the main anti-diagonal (i + j >= n + 2)
-    tilde    : zero the last row and/or column except the corner x_n_n
-    sop      : kill_s plus identifying every survivor except x_1_1 with x_1_1
-    """
-    ctx = VarContext.matrix(n)
-    zero = MvPolynomial.zero(ctx, dom)
-    asg: dict = {}
-    if label in ("kill_s", "kill_s0", "sop"):
-        if mode is not None:
-            raise ValueError(f"{label} takes no mode")
-        cut = _cut(n, label)
-        x11 = MvPolynomial.variable(ctx, dom, var(1, 1)) if label == "sop" else None
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i + j >= cut:
-                    asg[var(i, j)] = zero
-                elif x11 is not None and (i, j) != (1, 1):
-                    asg[var(i, j)] = x11
-    elif label == "tilde":
-        if mode not in TILDE_MODES:
-            raise ValueError(f"tilde mode must be one of {TILDE_MODES}, got {mode!r}")
-        if mode in ("column", "both"):
-            for i in range(1, n):
-                asg[var(i, n)] = zero
-        if mode in ("row", "both"):
-            for j in range(1, n):
-                asg[var(n, j)] = zero
-    else:
-        raise ValueError(f"unknown specialization label {label!r}")
-    return Specialization(asg)
+    """The built-in assignment of label (kill_s, kill_s0, sop, or tilde
+    with a mode) on the n-by-n grid, in the ring of the whole grid; see
+    `_kept` for the cells each label keeps."""
+    return Specialization(_assignment(n, label, mode, VarContext.matrix(n), dom))
 
 
-def _grid_matrix(n: int, cut: int) -> tuple:
-    """The n-by-n matrix with x_i_j at each cell (i, j) with i + j < cut and
-    zero elsewhere, built in the ring of those cells alone, and the cells in
-    row-major order, which is that ring's variable order."""
-    cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i + j < cut]
-    ctx = VarContext(var(i, j) for i, j in cells)
+def _grid_matrix(n: int, label: str | None = None, mode: str | None = None, ctx: VarContext | None = None) -> tuple:
+    """The n-by-n matrix with x_i_j at each cell the label keeps (see
+    `_kept`) and zero elsewhere, and those cells, built in ctx or by
+    default in the ring of those cells alone, whose variable order is
+    theirs."""
+    cells = _kept(n, label, mode)
+    if ctx is None:
+        ctx = VarContext(var(i, j) for i, j in cells)
     zero = MvPolynomial.zero(ctx, ZZ)
     x = {c: MvPolynomial.variable(ctx, ZZ, var(*c)) for c in cells}
     return PolyMatrix([[x.get((i, j), zero) for j in range(1, n + 1)] for i in range(1, n + 1)]), cells
 
 
 def _killed_matrix(n: int, label: str) -> tuple:
-    """The generic n-by-n matrix under the kill_s or kill_s0 assignment
-    (see `build_specialization`) in the ring of its survivors, and the
-    survivor cells (see `_grid_matrix`)."""
-    return _grid_matrix(n, _cut(n, label))
+    """The generic n-by-n matrix under the kill_s or kill_s0 assignment in
+    the ring of its survivors, and the survivor cells (see `_grid_matrix`)."""
+    return _grid_matrix(n, label)
 
 
 def generic_matrix(n: int) -> PolyMatrix:
     """The n-by-n matrix whose (i, j) entry is the variable x_i_j."""
     if n < 1:
         raise ValueError("matrix size must be positive")
-    return _grid_matrix(n, 2 * n + 1)[0]  # every cell has i + j <= 2n
+    return _grid_matrix(n)[0]
 
 
 def diag_matrix(M: PolyMatrix, *, force: bool = False) -> PolyMatrix:
@@ -233,8 +236,11 @@ def _leading_block(X: PolyMatrix, m: int) -> PolyMatrix:
 
 
 def _tilde_c(n: int, mode: str) -> PolyMatrix:
-    """C (see `_c_matrix`) of the generic matrix in the given tilde mode."""
-    return _c_matrix(build_specialization(n, "tilde", mode).apply_to_matrix(generic_matrix(n)))
+    """C (see `_c_matrix`) of the generic matrix in the given tilde mode.
+    The matrix is built in the ring of the whole grid, not of its kept
+    cells, so the three modes' C share one context and can compare equal
+    (see `verify_block_factorization`)."""
+    return _c_matrix(_grid_matrix(n, "tilde", mode, VarContext.matrix(n))[0])
 
 
 def _corner_side(n: int):
@@ -323,11 +329,14 @@ def verify_peeling_identity(n: int, *, force: bool = False) -> bool:
                        * (-1)^(n(n-1)/2) * product of x_i_(n-i)
 
     Both sides live in the ring of the kill_s survivors (see
-    `_killed_matrix`): the block is the killed matrix's leading (n-1)
+    `_killed_matrix`): the block X0 is the killed matrix's leading (n-1)
     block, and the product runs over its cells with i + j == n.  The sign
-    exponent n(n-1)/2 is forced by independent expansion of both sides; at
-    odd n it coincides with (n-2)(n-1)/2.  At n = 1 the block is empty and
-    its P is 1.
+    is the bordering lemma's (see `verify_block_factorization`) at c = 0:
+    the killed matrix is X0 (+) 0, so its P is P(X0) * det(0 * I - X0) =
+    P(X0) * (-1)^(n-1) * det X0.  X0 is kill_s0 at n - 1, zero below its
+    anti-diagonal, so det X0 is the anti-diagonal product times
+    (-1)^((n-1)(n-2)/2), the sign of reversing n - 1 indices; the two
+    signs multiply to (-1)^(n(n-1)/2).  At n = 1 X0 is empty and P(X0) = 1.
     """
     guard("induction", n, force)
     M, cells = _killed_matrix(n, "kill_s")
@@ -354,7 +363,8 @@ def antidiag_unit_coeff(n: int, spec: str = "kill_s", *, force: bool = False) ->
     if spec not in ("kill_s", "kill_s0"):
         raise ValueError(f"spec must be 'kill_s' or 'kill_s0', got {spec!r}")
     M, cells = _killed_matrix(n, spec)
-    target = tuple(int(i + j <= n) for i, j in cells)
+    above = set(_kept(n, "kill_s"))
+    target = tuple(int(c in above) for c in cells)
     return _c_matrix(M)._det(target).coefficient(target)
 
 
@@ -374,10 +384,12 @@ def sop_normal_form(n: int, *, force: bool = False) -> SopNormalForm:
     x_1_1^j * diag(A^j), so scaling the columns gives
     P(x_1_1 * A) = det D(A) * x_1_1^(0 + 1 + ... + (n-1)), exactly.  The
     sign is therefore one integer determinant and the exponent is
-    n(n-1)/2."""
+    n(n-1)/2.  A = A' (+) 0, with A' = `intlattice.antidiagonal_ones(n-1)`,
+    so the bordering lemma at c = 0 (see `verify_peeling_identity`) gives
+    det D(A) = P(A') * (-1)^(n-1) * det A'."""
     guard("sop", n, force)
-    cut = _cut(n, "sop")
-    A = intlattice.IntMatrix([[int(i + j < cut) for j in range(1, n + 1)] for i in range(1, n + 1)])
+    kept = set(_kept(n, "sop"))
+    A = intlattice.IntMatrix([[int((i, j) in kept) for j in range(1, n + 1)] for i in range(1, n + 1)])
     c = intlattice.int_det(intlattice.diag_of_powers_matrix(A))
     return SopNormalForm(sign=c, exponent=n * (n - 1) // 2)
 

@@ -200,29 +200,15 @@ class PolyMatrix:
         )
 
     def __mul__(self, other):
+        """The matrix product, each entry a sum of ring products, which
+        check that the operands share one context and domain."""
         if not isinstance(other, PolyMatrix):
             return NotImplemented
         if self.n != other.n:
             raise ValueError("matrix sizes differ")
-        if self.ctx != other.ctx:
-            raise ContextError("matrices live in different variable contexts")
-        if self.dom != other.dom:
-            raise DomainError("matrices live in different coefficient domains")
-        n = self.n
-        e = max(a._e for row in self.rows for a in row) + max(b._e for row in other.rows for b in row)
-        w, packed = _packed_rows(self.rows + other.rows, e)
-        A, B = packed[:n], packed[n:]
-        p = self.dom.p
-        out = []
-        for i in range(n):
-            orow = []
-            for j in range(n):
-                acc: dict = {}
-                for k in range(n):
-                    _mul_into(acc, A[i][k], B[k][j])
-                orow.append(MvPolynomial._raw(self.ctx, self.dom, _reduce_in_place(acc, p), e, w))
-            out.append(orow)
-        return PolyMatrix(out)
+        zero = MvPolynomial.zero(self.ctx, self.dom)
+        cols = list(zip(*other.rows))
+        return PolyMatrix([[sum((a * b for a, b in zip(row, col)), zero) for col in cols] for row in self.rows])
 
     def _det(self, bound, budget=None) -> MvPolynomial:
         """The determinant, dropping every monomial with an exponent above

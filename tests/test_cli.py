@@ -605,6 +605,25 @@ def test_pofx_matrix_whose_entries_use_t(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "spec, expected",
+    [
+        pytest.param(["s"], "-t", id="s"),
+        pytest.param(["s0"], "-t", id="s0"),
+        pytest.param(["sop"], "-t", id="sop"),
+        pytest.param(["tilde", "--mode", "both"], "x_2_2 - t", id="tilde-both"),
+    ],
+)
+def test_pofx_specializes_a_matrix_whose_entries_use_t(tmp_path, capsys, spec, expected):
+    # the assignment is built in the file's context, which holds t, so it
+    # applies to the file's entries; at n = 2, D(M) has columns (1, 1) and
+    # (M_1_1, M_2_2), so P = M_2_2 - M_1_1 after the cells are zeroed
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "entries": [["t", "x_1_2"], ["x_2_1", "x_2_2"]]}))
+    code, out, err = run(capsys, "pofx", "--matrix", str(path), "--spec", *spec)
+    assert (code, out, err) == (0, expected + "\n", "")
+
+
+@pytest.mark.parametrize(
     "argv, matrix",
     [
         pytest.param(["induction", "--n", "6"], None, id="induction"),

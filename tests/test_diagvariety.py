@@ -132,6 +132,67 @@ def test_bad_specialization_arguments():
         build_specialization(3, "nonsense")
 
 
+def defined_cells(n, label, mode=None):
+    """The cells each label keeps, written from the words of the README:
+    kill_s zeroes every cell on and below the main anti-diagonal, the cells
+    (i, n + 1 - i) and those right of them, and kill_s0 only those strictly
+    below it; sop keeps the kill_s cells; tilde zeroes the last row and/or
+    column except the corner; the generic matrix (None) keeps every cell."""
+    grid = set(itertools.product(range(1, n + 1), repeat=2))
+    antidiagonal = {(i, n + 1 - i) for i in range(1, n + 1)}
+    on_or_below = {(i, j) for i, j in grid if any((i, k) in antidiagonal for k in range(1, j + 1))}
+    if label in ("kill_s", "sop"):
+        return grid - on_or_below
+    if label == "kill_s0":
+        return grid - (on_or_below - antidiagonal)
+    if label == "tilde":
+        last_row = {(n, j) for j in range(1, n)} if mode in ("row", "both") else set()
+        last_column = {(i, n) for i in range(1, n)} if mode in ("column", "both") else set()
+        return grid - last_row - last_column
+    return grid
+
+
+LABELS = [(None, None), ("kill_s", None), ("kill_s0", None), ("sop", None)] + [
+    ("tilde", mode) for mode in diagvariety.TILDE_MODES
+]
+
+
+@pytest.mark.parametrize("label, mode", LABELS)
+@pytest.mark.parametrize("n", range(1, 8))
+def test_each_label_keeps_the_cells_its_definition_names(monkeypatch, n, label, mode):
+    kept = defined_cells(n, label, mode)
+    assert diagvariety._kept(n, label, mode) == sorted(kept)
+    names = {f"x_{i}_{j}": (i, j) for i, j in itertools.product(range(1, n + 1), repeat=2)}
+    if label is not None:
+        asg = build_specialization(n, label, mode).assignments
+        assert {names[v] for v, g in asg.items() if not g} == set(names.values()) - kept
+        x11 = MvPolynomial.variable(VarContext.matrix(n), ZZ, "x_1_1")
+        assert {names[v] for v, g in asg.items() if g} == (kept - {(1, 1)} if label == "sop" else set())
+        assert all(g == x11 for g in asg.values() if g)
+    built = []
+    if label in (None, "kill_s", "kill_s0"):
+        built.append(diagvariety._grid_matrix(n, label)[0])
+    if label == "tilde":
+        c_matrix = diagvariety._c_matrix
+        monkeypatch.setattr(diagvariety, "_c_matrix", lambda M: built.append(M) or c_matrix(M))
+        diagvariety._tilde_c(n, mode)
+        assert built[0].ctx == VarContext.matrix(n)
+    if label == "sop":
+        powers = intlattice.diag_of_powers_matrix
+        monkeypatch.setattr(intlattice, "diag_of_powers_matrix", lambda A: built.append(A) or powers(A))
+        sop_normal_form(n, force=True)
+    for M in built:
+        entries = {(i + 1, j + 1): e for i, row in enumerate(M.rows) for j, e in enumerate(row)}
+        assert {c for c, e in entries.items() if e} == kept
+
+
+@pytest.mark.parametrize("mode", diagvariety.TILDE_MODES)
+@pytest.mark.parametrize("n", range(1, 6))
+def test_tilde_c_equals_c_of_the_substituted_tilde_matrix(n, mode):
+    X = build_specialization(n, "tilde", mode).apply_to_matrix(generic_matrix(n))
+    assert diagvariety._tilde_c(n, mode) == diagvariety._c_matrix(X)
+
+
 # -- diag matrix ------------------------------------------------------------
 
 
@@ -717,6 +778,24 @@ def test_killed_matrix_is_the_killed_generic_matrix_in_its_survivors_ring(n, lab
             else:
                 assert not entry
             assert tuple_with_context(entry, generic.ctx) == generic.rows[i - 1][j - 1]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_the_kill_s_block_is_kill_s0_one_size_down(n):
+    M = diagvariety._killed_matrix(n, "kill_s")[0]
+    X0 = diagvariety._killed_matrix(n - 1, "kill_s0")[0]
+    block = PolyMatrix([row[: n - 1] for row in M.rows[: n - 1]])
+    assert block.ctx == X0.ctx
+    assert block == X0
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_the_peeling_factor_is_chi_of_x0_at_zero(n):
+    # chi_X0(0) = det(-X0) = (-1)^(n-1) det X0, expanded over permutations
+    X0, cells = diagvariety._killed_matrix(n - 1, "kill_s0")
+    chi_at_0 = perm_det_poly(X0.rows, X0.ctx, X0.dom) * (-1) ** (n - 1)
+    antidiagonal = MvPolynomial.monomial(X0.ctx, ZZ, [int(j == n - i) for i, j in cells])
+    assert chi_at_0 == antidiagonal * (-1) ** (n * (n - 1) // 2)
 
 
 # -- peeling identity ----------------------------------------------------------

@@ -261,9 +261,10 @@ MUTANTS = (
     Mutant(
         "killed-cut-off-by-one",
         "src/diagvar/diagvariety.py",
-        "for j in range(1, n + 1) if i + j < cut]",
-        "for j in range(1, n + 1) if i + j <= cut]",
+        'n + 1 if label == "kill_s0"',
+        'n + 2 if label == "kill_s0"',
         (
+            "tests/test_diagvariety.py::test_each_label_keeps_the_cells_its_definition_names",
             "tests/test_diagvariety.py::test_killed_matrix_cells_n3",
             "tests/test_diagvariety.py::test_killed_matrix_is_the_killed_generic_matrix_in_its_survivors_ring",
         ),
@@ -271,9 +272,10 @@ MUTANTS = (
     Mutant(
         "generic-grid-cut-one-short",
         "src/diagvar/diagvariety.py",
-        "_grid_matrix(n, 2 * n + 1)",
-        "_grid_matrix(n, 2 * n)",
+        "bound = 2 * n if label is None",
+        "bound = 2 * n - 1 if label is None",
         (
+            "tests/test_diagvariety.py::test_each_label_keeps_the_cells_its_definition_names",
             "tests/test_diagvariety.py::test_generic_matrix_small",
             "tests/test_diagvariety.py::test_generic_matrix_keeps_every_cell_in_the_matrix_context",
         ),
@@ -281,9 +283,26 @@ MUTANTS = (
     Mutant(
         "kill_s0-given-the-kill_s-cut",
         "src/diagvar/diagvariety.py",
-        'return n + 2 if label == "kill_s0" else n + 1',
-        "return n + 1",
-        ("tests/test_diagvariety.py::test_antidiag_coeff_expands_the_ring_of_its_kill",),
+        'if label is None else n + 1 if label == "kill_s0" else n',
+        "if label is None else n",
+        (
+            "tests/test_diagvariety.py::test_each_label_keeps_the_cells_its_definition_names",
+            "tests/test_diagvariety.py::test_antidiag_coeff_expands_the_ring_of_its_kill",
+        ),
+    ),
+    Mutant(
+        "tilde-row-and-column-swapped",
+        "src/diagvar/diagvariety.py",
+        'last_row, last_col = mode != "column", mode != "row"',
+        'last_row, last_col = mode != "row", mode != "column"',
+        ("tests/test_diagvariety.py::test_each_label_keeps_the_cells_its_definition_names",),
+    ),
+    Mutant(
+        "sop-survivor-left-unidentified",
+        "src/diagvar/diagvariety.py",
+        "for i, j in kept if (i, j) != (1, 1))",
+        "for i, j in kept if i > 1)",
+        ("tests/test_diagvariety.py::test_each_label_keeps_the_cells_its_definition_names",),
     ),
     Mutant(
         "peeling-monomial-off-the-antidiagonal",
