@@ -16,10 +16,11 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import intlattice
+from .errors import DiagvarError
 from .fpurity import FedderVerdict, fedder_check
 from .guards import PAIR_BUDGET, guard
 from .polymatrix import PolyMatrix, _product_parts, _shifted_det
-from .polyring import ZZ, Domain, MvPolynomial, VarContext, _reduce_in_place
+from .polyring import ZZ, Domain, MvPolynomial, VarContext, _key_weights, _reduce_in_place
 
 __all__ = [
     "Specialization",
@@ -66,8 +67,9 @@ def _kept(n: int, label: str | None = None, mode: str | None = None) -> list:
     row-major order; the label's assignment zeroes every other cell.
 
     None     : every cell (the generic matrix)
-    kill_s   : the cells strictly above the main anti-diagonal (i + j <= n)
-    kill_s0  : the cells on and above the main anti-diagonal (i + j <= n + 1)
+    kill_s0  : the cells on and above the main anti-diagonal (i + j <= n + 1,
+               `intlattice._antidiagonal_cells`)
+    kill_s   : the cells strictly above it (i + j <= n), kill_s0's one size down
     sop      : the kill_s cells, each identified with x_1_1 (see `_assignment`)
     tilde    : every cell but those of the last row ("row"), the last column
                ("column") or both ("both"); the corner x_n_n is kept"""
@@ -81,8 +83,9 @@ def _kept(n: int, label: str | None = None, mode: str | None = None) -> list:
         raise ValueError(f"unknown specialization label {label!r}")
     if mode is not None:
         raise ValueError(f"{label} takes no mode")
-    bound = 2 * n if label is None else n + 1 if label == "kill_s0" else n
-    return [(i, j) for i, j in grid if i + j <= bound]
+    if label is None:
+        return grid
+    return intlattice._antidiagonal_cells(n if label == "kill_s0" else n - 1)
 
 
 def _assignment(n: int, label: str, mode: str | None, ctx: VarContext, dom: Domain) -> dict:
@@ -394,44 +397,126 @@ def sop_normal_form(n: int, *, force: bool = False) -> SopNormalForm:
     return SopNormalForm(sign=c, exponent=n * (n - 1) // 2)
 
 
-def _fedder_base(f: MvPolynomial, weight) -> MvPolynomial:
-    """in_w(f) when f is homogeneous of degree its variable count and the
-    product of all its variables is a term of in_w(f); f itself otherwise.
-    Either has f's Fedder verdict and witness at every p (see
-    `check_fpure`)."""
-    top = f.initial_form(weight)
-    nvars = len(f.ctx)
-    if f.homogeneous_degree() == nvars and top.coefficient((1,) * nvars):
-        return top
-    return f
+def _top_permutations(a: list) -> tuple:
+    """(top, count, other) over the permutations s of the columns of the
+    square matrix a: top is the largest sum of a[r][s(r)], count the number
+    of permutations that reach it, and other the largest sum over every s
+    but the identity.  A None entry is minus infinity, and a sum that no
+    permutation reaches is None.  A dynamic program over column subsets,
+    one row at a time."""
+    n = len(a)
+    # for rows 0..r-1 sent onto each column set S: the largest sum, the
+    # permutations reaching it, and the largest sum of those other than the
+    # identity, which only the set {0..r-1} holds (elsewhere it is the first)
+    level = {0: (0, 1, None)}
+    for r, row in enumerate(a):
+        nxt: dict = {}
+        for S, (x, c, y) in level.items():
+            for k, v in enumerate(row):
+                bit = 1 << k
+                if v is None or S & bit:
+                    continue
+                z = y if k == r else x
+                z = None if z is None else z + v
+                T = S | bit
+                if T not in nxt:
+                    nxt[T] = (x + v, c, z)
+                    continue
+                tx, tc, tz = nxt[T]
+                if x + v > tx:
+                    tx, tc = x + v, c
+                elif x + v == tx:
+                    tc += c
+                if z is not None and (tz is None or z > tz):
+                    tz = z
+                nxt[T] = (tx, tc, tz)
+        level = nxt
+    return level.get((1 << n) - 1, (None, 0, None))
 
 
 @lru_cache(maxsize=None)
-def _killed_survivors(n: int) -> tuple:
-    """The killed P over Z in the ring of the kill_s survivors (see
-    `_killed_matrix`), so P needs no restriction, and its Fedder base under
-    the weight -i*j of each survivor x_i_j."""
-    # reached only through check_fpure's own guard (or an explicit force)
+def _fpure_certificate(n: int, weight=lambda i, j: -i * j) -> tuple:
+    """Certify that in_w(P) = c * m for the killed P (kill_s, in the ring
+    of its survivors), m the product of all survivors and c = +-1, under
+    the weight w(x_i_j) = weight(i, j), -i*j unless a test passes another,
+    without expanding P.  Returns (c * m, w.m, gap), gap being w.m less the
+    largest top-weight sum of a permutation of C other than the identity
+    (None when every other permutation meets a zero entry).  Raises
+    DiagvarError naming the first hypothesis that fails at this n.
+
+    P = det C, C = C(M) of the killed matrix M (see `_c_matrix`).  Row r of
+    C (0-based) is checked homogeneous of degree r, so every term of P has
+    degree 0 + 1 + ... + (n-1) = n(n-1)/2, the number of survivors.  Let
+    a[r][k] be the top weight of C[r][k].  Every term of
+    prod_r C[r][s(r)] weighs at most sum_r a[r][s(r)], so when the identity
+    is the only permutation reaching the largest such sum, in_w(P) is
+    prod_r in_w(C[r][r]) (Z is a domain, so in_w of a product is the
+    product of the in_w), and that is checked to be +-m.  Those are the
+    checks; each reads C's entries once, on their packed keys.
+
+    Why they hold at every n, under -i*j: C[r][k] is (-1)^r times e_r of M
+    with row and column k + 1 deleted, whose terms are the products
+    x_(i,s(i)) over the permutations s of the r-sets S not holding k + 1.
+    By the rearrangement inequality such a term weighs at most
+    U(S) = -sum_i s_i * s_(r+1-i) (S sorted), reached only when s reverses
+    S, and U falls as the elements of S grow.  So a[r][k] <= U[r][k], the
+    bound at the r smallest indices other than k + 1: U[r][k] = -C(r+2, 3)
+    when k >= r and is smaller when k < r.  On the diagonal the bound is
+    reached by one term, the anti-diagonal of the leading r block, whose
+    cells i + j = r + 1 <= n survive the kill.  Every permutation other
+    than the identity has a row with s(r) < r, so the identity is the only
+    maximiser, in_w(P) = +-m and w.m = -sum_r C(r+2, 3) = -C(n+2, 4)."""
     M, cells = _killed_matrix(n, "kill_s")
-    P = compute_P(M, force=True)
-    return P, _fedder_base(P, [-i * j for i, j in cells])
+    w = [weight(i, j) for i, j in cells]
+    where = f"fedder certificate at n = {n}"
+    a, forms = [], []
+    for r, row in enumerate(_c_matrix(M).rows):
+        a.append([])
+        for k, f in enumerate(row):
+            if not f:
+                a[r].append(None)
+                continue
+            if f.homogeneous_degree() != r:
+                raise DiagvarError(f"{where}: row {r} of C is not homogeneous of degree {r}")
+            weights = _key_weights(f._t, w, f._w)
+            mu = max(weights)
+            a[r].append(mu)
+            if k == r:
+                top = {key: c for (key, c), x in zip(f._t.items(), weights) if x == mu}
+                forms.append(MvPolynomial._raw(f.ctx, f.dom, top, f._e, f._w))
+    best, count, other = _top_permutations(a)
+    diagonal = [a[r][r] for r in range(n)]
+    if None in diagonal or sum(diagonal) != best:
+        raise DiagvarError(f"{where}: the identity is not a top-weight permutation of C")
+    if count != 1:
+        raise DiagvarError(f"{where}: {count} permutations of C reach the top weight")
+    for r, g in enumerate(forms):
+        if len(g._t) != 1 or next(iter(g._t.values())) not in (1, -1):
+            raise DiagvarError(f"{where}: in_w(C[{r}][{r}]) is not one term with coefficient +-1")
+    base = forms[0]
+    for g in forms[1:]:
+        base = base * g
+    if base.coefficient((1,) * len(cells)) not in (1, -1):
+        raise DiagvarError(f"{where}: the diagonal's initial forms multiply to a term other than +-m")
+    return base, best, None if other is None else best - other
 
 
 def check_fpure(n: int, p: int, *, force: bool = False) -> FedderVerdict:
     """Specialize P by the anti-diagonal kill, reinterpret it over F_p in the
     surviving variables (i + j <= n), and run the Fedder membership test.
 
-    The test runs on the initial form in_w(P) under the weight
-    w(x_i_j) = -i*j, read once per n, when two hypotheses hold, and on P
-    otherwise: P is homogeneous of degree its variable count, and the
-    product m of all survivors is a term of in_w(P).  Then every term of P
-    weighs at most w.m, and t = (p-1, ..., p-1) weighs (p-1) * w.m, so a
-    product of p - 1 terms of P reaches t only if each factor has top
-    weight: coef_t(P^(p-1)) = coef_t(in_w(P)^(p-1)) over Z, and so mod
+    The test runs on c * m, m the product of the survivors, which
+    `_fpure_certificate` shows, once per n and without expanding P, to be
+    in_w(P) under the weight w(x_i_j) = -i*j, with c = +-1 and P
+    homogeneous of degree its variable count.  Then every other term of P
+    weighs less than w.m, and t = (p-1, ..., p-1) weighs (p-1) * w.m, so a
+    product of p - 1 terms of P reaches t only if each factor is c * m:
+    coef_t(P^(p-1)) = c^(p-1) = coef_t((c * m)^(p-1)) over Z, and so mod
     every p.  Both are homogeneous of degree their variable count, so t is
     the one monomial that can survive the cap, and the verdict and witness
-    are read off that coefficient alone.  The argument covers every n; the
-    code checks both hypotheses at each n (in_w(P) is then +-m, checked
-    for n = 2..7, so each of the p - 1 products pairs one term with one)."""
+    are read off that coefficient alone: F-pure with witness t at every p,
+    each of the p - 1 products pairing one term with one.  Where the
+    certificate's checks fail, DiagvarError is raised instead of a
+    verdict."""
     guard("fedder", n, force, p)
-    return fedder_check(_killed_survivors(n)[1], p)
+    return fedder_check(_fpure_certificate(n)[0], p)

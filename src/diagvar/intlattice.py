@@ -233,13 +233,18 @@ def spans_Zn(vectors) -> bool:
     return lat.is_full()
 
 
+def _antidiagonal_cells(n: int) -> list:
+    """The cells (i, j) of the n-by-n grid, 1-based and in row-major order,
+    on and above its main anti-diagonal."""
+    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n + 1]
+
+
 def antidiagonal_ones(n: int) -> IntMatrix:
     """Ones on and above the main anti-diagonal, zeros strictly below."""
     if n < 1:
         raise ValueError("size must be positive")
-    return IntMatrix(
-        [[1 if i + j <= n + 1 else 0 for j in range(1, n + 1)] for i in range(1, n + 1)]
-    )
+    ones = set(_antidiagonal_cells(n))
+    return IntMatrix([[int((i, j) in ones) for j in range(1, n + 1)] for i in range(1, n + 1)])
 
 
 class PowerDiagonalReport(NamedTuple):

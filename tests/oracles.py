@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check fast paths."""
 
+from functools import lru_cache
 from itertools import permutations
 
-from diagvar.diagvariety import build_specialization, compute_P, generic_matrix
+from diagvar.diagvariety import _killed_matrix, build_specialization, compute_P, generic_matrix
 from diagvar.errors import ContextError
 from diagvar.intlattice import IntMatrix, diag_of_powers_matrix, int_det
 from diagvar.polyring import GF, MvPolynomial
@@ -69,6 +70,28 @@ def sop_by_polynomial_P(n: int) -> tuple:
     i11 = X.ctx.index("x_1_1")
     assert not any(e for i, e in enumerate(m) if i != i11), m
     return c, m[i11]
+
+
+def _fedder_base(f: MvPolynomial, weight) -> MvPolynomial:
+    """in_w(f) when f is homogeneous of degree its variable count and the
+    product of all its variables is a term of in_w(f); f itself otherwise.
+    Either has f's Fedder verdict and witness at every p (see
+    `check_fpure`)."""
+    top = f.initial_form(weight)
+    nvars = len(f.ctx)
+    if f.homogeneous_degree() == nvars and top.coefficient((1,) * nvars):
+        return top
+    return f
+
+
+@lru_cache(maxsize=None)
+def _killed_survivors(n: int) -> tuple:
+    """The killed P over Z in the ring of the kill_s survivors (see
+    `_killed_matrix`), so P needs no restriction, and its Fedder base under
+    the weight -i*j of each survivor x_i_j."""
+    M, cells = _killed_matrix(n, "kill_s")
+    P = compute_P(M, force=True)
+    return P, _fedder_base(P, [-i * j for i, j in cells])
 
 
 def _above_antidiag_exps(n: int, ctx) -> tuple:

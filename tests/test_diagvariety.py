@@ -789,6 +789,16 @@ def test_the_kill_s_block_is_kill_s0_one_size_down(n):
     assert block == X0
 
 
+def test_the_ones_matrix_has_its_ones_at_the_kill_s0_cells():
+    # the integer lemmas' ones matrix and the kill_s0 kill cut the grid at
+    # the same anti-diagonal
+    for n in range(1, 13):
+        A = antidiagonal_ones(n)
+        ones = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if A.rows[i - 1][j - 1]]
+        assert ones == diagvariety._kept(n, "kill_s0"), n
+        assert {x for row in A.rows for x in row} == ({1} if n == 1 else {0, 1})
+
+
 @pytest.mark.parametrize("n", range(2, 8))
 def test_the_peeling_factor_is_chi_of_x0_at_zero(n):
     # chi_X0(0) = det(-X0) = (-1)^(n-1) det X0, expanded over permutations

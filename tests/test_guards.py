@@ -150,8 +150,8 @@ def test_windows_keep_the_internal_routes_within_the_layer_budgets(monkeypatch):
     monkeypatch.setattr(polymatrix, "_shifted_det", recorder("_char_poly", polymatrix._shifted_det))
     monkeypatch.setattr(diagvariety, "_shifted_det", recorder("_det", diagvariety._shifted_det))
     pairs = _dp_pairs(monkeypatch)
-    # the fedder cells build the killed P afresh, not from the cache
-    monkeypatch.setattr(diagvariety, "_killed_survivors", diagvariety._killed_survivors.__wrapped__)
+    # the fedder cells build their certificate's C afresh, not from the cache
+    monkeypatch.setattr(diagvariety, "_fpure_certificate", diagvariety._fpure_certificate.__wrapped__)
     # and the lemma2 cells expand their shared corner afresh
     monkeypatch.setattr(diagvariety, "_corner_identity", diagvariety._corner_identity.__wrapped__)
     primes = sorted({p for w in WINDOWS.values() for p in w.primes})

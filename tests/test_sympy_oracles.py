@@ -10,7 +10,7 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from diagvar.diagvariety import _killed_survivors, build_specialization, check_fpure, compute_P, generic_matrix
+from diagvar.diagvariety import _fpure_certificate, build_specialization, check_fpure, compute_P, generic_matrix
 from diagvar.intlattice import (
     IntMatrix,
     antidiagonal_ones,
@@ -19,7 +19,7 @@ from diagvar.intlattice import (
     unimodular_inverse,
 )
 from diagvar.polyring import GF, VarContext
-from oracles import random_unimodular, split_power_coefficient, tuple_with_context
+from oracles import _killed_survivors, random_unimodular, split_power_coefficient, tuple_with_context
 
 
 def _sympy_X(n: int, cut: int | None = None):
@@ -85,7 +85,8 @@ def test_killed_survivors_P_matches_sympy(n):
 def test_killed_P_initial_form_is_the_survivor_product_in_sympy(n):
     # the hypothesis check_fpure's base rests on, read off sympy's own
     # killed P: under -i*j its top-weight terms are exactly m, the product
-    # of the survivors, with coefficient +-1
+    # of the survivors, with coefficient +-1, which both the oracles' full-P
+    # route and the certificate find
     cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i + j <= n]
     expected = sympy.Poly(_sympy_P(n, n + 1).as_expr(), *sympy.symbols([f"x_{i}_{j}" for i, j in cells]))
     weighed = [(sum(-i * j * e for (i, j), e in zip(cells, m)), m, int(c)) for m, c in expected.terms()]
@@ -94,6 +95,8 @@ def test_killed_P_initial_form_is_the_survivor_product_in_sympy(n):
     assert m == (1,) * len(cells)
     assert c in (1, -1)
     assert dict(_killed_survivors(n)[1].terms) == {m: c}
+    base, wm, _ = _fpure_certificate(n)
+    assert (dict(base.terms), wm) == ({m: c}, top)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -43,24 +43,69 @@ MUTANTS = (
         "mu = min(weights, default=0)",
         (
             "tests/test_polyring_properties.py::test_initial_form_matches_the_tuple_oracle",
-            "tests/test_fpurity.py::test_check_fpure_forms_p_minus_one_term_pairs",
+            "tests/test_fpurity.py::test_a_weight_that_ties_m_keeps_every_top_term",
+        ),
+    ),
+    Mutant(
+        "certificate-mu-smallest-weight",
+        "src/diagvar/diagvariety.py",
+        "mu = max(weights)\n",
+        "mu = min(weights)\n",
+        (
+            "tests/test_fpurity.py::test_the_certificate_base_is_the_full_P_base",
+            "tests/test_fpurity.py::test_the_top_weight_is_minus_binomial_n_plus_2_over_4",
         ),
     ),
     Mutant(
         "fedder-weight-without-homogeneity",
         "src/diagvar/diagvariety.py",
-        "if f.homogeneous_degree() == nvars and top.coefficient",
-        "if top.coefficient",
-        ("tests/test_fpurity.py::test_weight_changes_no_verdict_or_witness_where_t_is_not_the_only_survivor",),
+        "if f.homogeneous_degree() != r:",
+        "if False:",
+        ("tests/test_fpurity.py::test_the_certificate_refuses_a_c_that_is_not_homogeneous",),
     ),
     Mutant(
         "fedder-base-without-m-membership",
         "src/diagvar/diagvariety.py",
-        " and top.coefficient((1,) * nvars):",
-        ":",
+        "    if base.coefficient((1,) * len(cells)) not in (1, -1):\n",
+        "    if False:\n",
+        ("tests/test_fpurity.py::test_the_certificate_refuses_a_diagonal_that_misses_m",),
+    ),
+    Mutant(
+        "certificate-ties-accepted",
+        "src/diagvar/diagvariety.py",
+        "if x + v > tx:",
+        "if x + v >= tx:",
+        ("tests/test_fpurity.py::test_top_permutations_counts_every_permutation_at_the_top",),
+    ),
+    Mutant(
+        "certificate-maximiser-count-unchecked",
+        "src/diagvar/diagvariety.py",
+        "    if count != 1:\n",
+        "    if False:\n",
+        ("tests/test_fpurity.py::test_the_certificate_refuses_permutations_tied_at_the_top",),
+    ),
+    Mutant(
+        "certificate-identity-not-required-on-top",
+        "src/diagvar/diagvariety.py",
+        "    if None in diagonal or sum(diagonal) != best:\n",
+        "    if False:\n",
+        ("tests/test_fpurity.py::test_the_certificate_refuses_a_weight_with_terms_above_m",),
+    ),
+    Mutant(
+        "certificate-diagonal-ties-accepted",
+        "src/diagvar/diagvariety.py",
+        "        if len(g._t) != 1 or next(iter(g._t.values())) not in (1, -1):\n",
+        "        if False:\n",
+        ("tests/test_fpurity.py::test_the_certificate_refuses_a_weight_that_ties_m",),
+    ),
+    Mutant(
+        "certificate-weight-sign-flipped",
+        "src/diagvar/diagvariety.py",
+        "weight=lambda i, j: -i * j",
+        "weight=lambda i, j: i * j",
         (
-            "tests/test_fpurity.py::test_a_weight_with_terms_above_m_falls_back_to_P",
-            "tests/test_fpurity.py::test_weight_changes_no_verdict_on_the_killed_P",
+            "tests/test_fpurity.py::test_the_certificate_base_is_the_full_P_base",
+            "tests/test_fpurity.py::test_forced_check_fpure_past_the_window_expands_no_determinant",
         ),
     ),
     Mutant(
@@ -260,9 +305,9 @@ MUTANTS = (
     ),
     Mutant(
         "killed-cut-off-by-one",
-        "src/diagvar/diagvariety.py",
-        'n + 1 if label == "kill_s0"',
-        'n + 2 if label == "kill_s0"',
+        "src/diagvar/intlattice.py",
+        "if i + j <= n + 1]",
+        "if i + j <= n + 2]",
         (
             "tests/test_diagvariety.py::test_each_label_keeps_the_cells_its_definition_names",
             "tests/test_diagvariety.py::test_killed_matrix_cells_n3",
@@ -272,8 +317,8 @@ MUTANTS = (
     Mutant(
         "generic-grid-cut-one-short",
         "src/diagvar/diagvariety.py",
-        "bound = 2 * n if label is None",
-        "bound = 2 * n - 1 if label is None",
+        "        return grid\n",
+        "        return grid[:-1]\n",
         (
             "tests/test_diagvariety.py::test_each_label_keeps_the_cells_its_definition_names",
             "tests/test_diagvariety.py::test_generic_matrix_small",
@@ -283,8 +328,8 @@ MUTANTS = (
     Mutant(
         "kill_s0-given-the-kill_s-cut",
         "src/diagvar/diagvariety.py",
-        'if label is None else n + 1 if label == "kill_s0" else n',
-        "if label is None else n",
+        '(n if label == "kill_s0" else n - 1)',
+        "(n - 1)",
         (
             "tests/test_diagvariety.py::test_each_label_keeps_the_cells_its_definition_names",
             "tests/test_diagvariety.py::test_antidiag_coeff_expands_the_ring_of_its_kill",
