@@ -511,7 +511,9 @@ def test_a_refused_certificate_makes_the_cli_exit_2(monkeypatch, capsys):
 
 
 def brute_top_permutations(a):
-    sums = {s: sum(a[r][k] for r, k in enumerate(s)) for s in permutations(range(len(a))) if None not in (a[r][k] for r, k in enumerate(s))}
+    """_top_permutations' triple, by summing every permutation."""
+    picks = {s: [a[r][k] for r, k in enumerate(s)] for s in permutations(range(len(a)))}
+    sums = {s: sum(xs) for s, xs in picks.items() if None not in xs}
     top = max(sums.values(), default=None)
     others = [x for s, x in sums.items() if s != tuple(range(len(a)))]
     return top, sum(x == top for x in sums.values()), max(others, default=None)
